@@ -27,8 +27,6 @@ from .faces import (
     MAX_COORDINATES,
     Face,
     FaceRank,
-    boundary_of_face,
-    coboundary_of_face,
     enumerate_faces,
     face_count,
     face_rank,
@@ -75,11 +73,9 @@ __all__ = [
     "SharpnessRow",
     "SliceDecomposition",
     "boundary_matrix",
-    "boundary_of_face",
     "c_constant",
     "check_absorbed_cost",
     "check_split_overhead",
-    "coboundary_of_face",
     "connected_components",
     "constants_for",
     "enumerate_faces",

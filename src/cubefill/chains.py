@@ -170,12 +170,6 @@ class SliceDecomposition:
     z_minus: Chain
     z_zero: Chain
 
-    def swapped(self) -> SliceDecomposition:
-        """The same slice with the opposite side designated as plus."""
-        return SliceDecomposition(
-            self.coordinate, 1 - self.plus_value, self.z_minus, self.z_plus, self.z_zero
-        )
-
     def reassemble(self) -> Chain:
         """Undo the slice; returns the original chain exactly."""
         plus = self.z_plus.inject(self.coordinate, f"fixed-{self.plus_value}")

@@ -20,8 +20,6 @@ __all__ = [
     "FaceRank",
     "parse_face",
     "render_face",
-    "boundary_of_face",
-    "coboundary_of_face",
     "face_count",
     "face_rank",
     "face_unrank",
@@ -196,14 +194,6 @@ def render_face(face: Face) -> str:
         else:
             out.append("1" if face.fixed_bits & bit else "0")
     return "".join(out)
-
-
-def boundary_of_face(face: Face) -> frozenset[Face]:
-    return face.boundary()
-
-
-def coboundary_of_face(face: Face) -> frozenset[Face]:
-    return face.coboundary()
 
 
 def face_count(n: int, k: int) -> int:

@@ -3,14 +3,15 @@
 Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
 
 * ``linear_fill`` carries the certificate (n-k)/(2(k+1)) * norm(z).  It
-  scans every (coordinate, side) slice, scores each one by the exact cost
-  of pushing that side across the slice and filling the rest one cube
-  down, and recurses on the cheapest.  The minimum is at most the average
+  scores every (coordinate, side) slice by the exact cost of pushing that
+  side across the slice and filling the rest one cube down, and recurses
+  on the cheapest.  The minimum is at most the average
   over all 2n slices, which is exactly the certificate, so the bound
   survives every level of the recursion.
 
 * ``recursive_fill`` carries the dimension-free certificate
-  c_k * norm(z)^((k+1)/k).  It looks for a slice that crosses little of
+  c_k * norm(z)^((k+1)/k).  It first restricts the cycle to its support
+  subcube, then looks for a slice that crosses little of
   the cycle; if one side of such a slice is small it pushes that side
   across (case 1), if both sides are large it fills the crossing one
   degree down and splits the problem into the two hyperfaces (case 2),
@@ -20,6 +21,10 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
 * ``exact_fill`` is a branch-and-bound search for a minimum-weight
   filling, seeded with the linear filling and pruned by the admissible
   bound ceil(residual / (2(k+1))).
+
+Both engines choose their cut from per-coordinate counts of the faces
+pinned to 1, pinned to 0 and crossing, and slice the chain only along the
+chosen coordinate.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -33,7 +38,7 @@ from fractions import Fraction
 
 from .chains import Chain, SliceDecomposition
 from .constants import c_constant, constants_for
-from .faces import Face
+from .faces import Face, _deposit_bits, _extract_bits
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -119,21 +124,36 @@ def _fill_zero_cycle(z: Chain) -> Chain:
     return Chain(z.n, 1, frozenset(edges))
 
 
+def _slice_counts(z: Chain) -> list[tuple[int, int, int]]:
+    """Per coordinate, the faces pinned to 1, pinned to 0, and crossing."""
+    ones = [0] * z.n
+    crossing = [0] * z.n
+    for face in z.support:
+        for i in range(z.n):
+            ones[i] += face.fixed_bits >> i & 1
+            crossing[i] += face.free_mask >> i & 1
+    return [(o, z.norm - o - c, c) for o, c in zip(ones, crossing)]
+
+
 def _best_slice(z: Chain) -> SliceDecomposition:
-    """The (coordinate, side) slice minimizing the exact inductive cost."""
+    """The (coordinate, side) slice minimizing the exact inductive cost.
+
+    The cost pushed + (n-k-1)/(2(k+1)) * (ones + zeros) is scaled by 2(k+1)
+    to stay in integers.  Ties go to the lowest coordinate, then plus = 1.
+    """
     n, k = z.n, z.k
-    tail = Fraction(n - k - 1, 2 * (k + 1))
-    best: SliceDecomposition | None = None
-    best_score: Fraction | None = None
-    for coordinate in range(1, n + 1):
-        cut = z.slice(coordinate, 1)
-        both = cut.z_plus.norm + cut.z_minus.norm
-        for designated in (cut, cut.swapped()):
-            score = designated.z_plus.norm + tail * both
-            if best_score is None or score < best_score:
-                best, best_score = designated, score
-    assert best is not None
-    return best
+    _, coordinate, flip = min(
+        (2 * (k + 1) * pushed + (n - k - 1) * (ones + zeros), coordinate, flip)
+        for coordinate, (ones, zeros, _) in enumerate(_slice_counts(z), 1)
+        for flip, pushed in ((0, ones), (1, zeros))
+    )
+    return z.slice(coordinate, 1 - flip)
+
+
+def _push_across(cut: SliceDecomposition, fill: Chain) -> Chain:
+    """Extend a filling of z_plus + z_minus to the sliced chain by pushing z_plus across."""
+    pushed = cut.z_plus.prism(cut.coordinate)
+    return fill.inject(cut.coordinate, f"fixed-{1 - cut.plus_value}") + pushed
 
 
 def _linear_fill_chain(z: Chain) -> Chain:
@@ -144,9 +164,7 @@ def _linear_fill_chain(z: Chain) -> Chain:
     if z.n == z.k + 1:
         return _top_cell_fill(z)
     cut = _best_slice(z)
-    inner = _linear_fill_chain(cut.z_plus + cut.z_minus)
-    pushed = cut.z_plus.prism(cut.coordinate)
-    return inner.inject(cut.coordinate, f"fixed-{1 - cut.plus_value}") + pushed
+    return _push_across(cut, _linear_fill_chain(cut.z_plus + cut.z_minus))
 
 
 def linear_fill(z: Chain) -> FillResult:
@@ -211,21 +229,23 @@ def support_subcube(z: Chain) -> tuple[tuple[int, ...], dict[int, int], Chain]:
         for i in range(z.n)
         if not active_mask >> i & 1
     }
-    inactive_desc = sorted(fixed_values, reverse=True)
-    restricted = []
-    for face in z.support:
-        reduced = face
-        for coordinate in inactive_desc:
-            reduced = reduced.delete_coordinate(coordinate)
-        restricted.append(reduced)
-    return (active, fixed_values, Chain(len(active), z.k, frozenset(restricted)))
+    m = len(active)
+    restricted = frozenset(
+        Face(m, _extract_bits(f.free_mask, active_mask), _extract_bits(f.fixed_bits, active_mask))
+        for f in z.support
+    )
+    return (active, fixed_values, Chain(m, z.k, restricted))
 
 
 def _embed_from_subcube(chain: Chain, fixed_values: dict[int, int]) -> Chain:
-    out = chain
-    for coordinate in sorted(fixed_values):
-        out = out.inject(coordinate, f"fixed-{fixed_values[coordinate]}")
-    return out
+    n = chain.n + len(fixed_values)
+    active = ~sum(1 << (c - 1) for c in fixed_values) & ((1 << n) - 1)
+    pinned = sum(value << (c - 1) for c, value in fixed_values.items())
+    faces = frozenset(
+        Face(n, _deposit_bits(f.free_mask, active), _deposit_bits(f.fixed_bits, active) | pinned)
+        for f in chain.support
+    )
+    return Chain(n, chain.k, faces)
 
 
 def _recursive_fill_chain(z: Chain) -> Chain:
@@ -243,43 +263,35 @@ def _recursive_fill_chain(z: Chain) -> Chain:
             parts = parts + _embed_from_subcube(_linear_fill_chain(inner), fixed_values)
         return parts
 
-    # A coordinate nothing crosses, with everything on one side: descend
-    # into that hyperface before any case analysis.
-    for coordinate in range(1, n + 1):
-        cut = z.slice(coordinate, 1)
-        if not cut.z_zero.support and (not cut.z_plus.support or not cut.z_minus.support):
-            side = cut.z_plus if cut.z_plus.support else cut.z_minus
-            value = 1 if cut.z_plus.support else 0
-            return _recursive_fill_chain(side).inject(coordinate, f"fixed-{value}")
+    # Coordinates nothing crosses, with everything on one side: restrict to
+    # the other coordinates before any case analysis.
+    _active, fixed_values, inner = support_subcube(z)
+    if fixed_values:
+        return _embed_from_subcube(_recursive_fill_chain(inner), fixed_values)
 
     consts = constants_for(k)
     threshold = consts.epsilon * float(z.norm) ** ((k - 1) / k)
-    candidates: list[tuple[int, int, int, SliceDecomposition]] = []
-    for coordinate in range(1, n + 1):
-        cut = z.slice(coordinate, 1)
-        crossing = cut.z_zero.norm
+    candidates: list[tuple[int, int, int, int, int]] = []
+    for coordinate, (ones, zeros, crossing) in enumerate(_slice_counts(z), 1):
         if crossing >= threshold:
             continue
-        small_side = min(cut.z_plus.norm, cut.z_minus.norm)
-        cheap = small_side <= consts.delta * float(crossing) ** (k / (k - 1))
-        candidates.append((crossing, 0 if cheap else 1, coordinate, cut))
+        cheap = min(ones, zeros) <= consts.delta * float(crossing) ** (k / (k - 1))
+        candidates.append((crossing, 0 if cheap else 1, coordinate, ones, zeros))
 
     if not candidates:
         # Every slice crosses a lot, so the cycle is large and the linear
         # certificate fits under the power certificate.
         return _linear_fill_chain(z)
 
-    _, cheap_tag, _, cut = min(candidates, key=lambda item: item[:3])
+    _, cheap_tag, coordinate, ones, zeros = min(candidates)
     if cheap_tag == 0:
         # Case 1: push the smaller side across the slice.
-        if cut.z_plus.norm > cut.z_minus.norm:
-            cut = cut.swapped()
-        inner = _recursive_fill_chain(cut.z_plus + cut.z_minus)
-        pushed = cut.z_plus.prism(cut.coordinate)
-        return inner.inject(cut.coordinate, f"fixed-{1 - cut.plus_value}") + pushed
+        cut = z.slice(coordinate, 1 if ones <= zeros else 0)
+        return _push_across(cut, _recursive_fill_chain(cut.z_plus + cut.z_minus))
 
     # Case 2: fill the crossing one degree down, cap it with its prism, and
     # fill the two corrected sides separately in their hyperfaces.
+    cut = z.slice(coordinate, 1)
     w0 = _recursive_fill_chain(cut.z_zero)
     plus_part = _recursive_fill_chain(cut.z_plus + w0)
     minus_part = _recursive_fill_chain(cut.z_minus + w0)
@@ -342,37 +354,39 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     excluded: set[Face] = set()
     nodes = 0
     aborted = False
-
-    def search(residual: frozenset[Face], weight: int) -> None:
-        nonlocal best, best_weight, nodes, aborted
-        if aborted:
-            return
+    # Depth-first with an explicit stack, so the depth is not capped by the
+    # interpreter.  Each frame holds a node's residual, its weight, the cells
+    # it branches on, and how many of them it has tried.
+    stack: list[tuple[frozenset[Face], int, list[Face], int]] = []
+    residual, weight = z.support, 0
+    while True:
         nodes += 1
         if nodes > node_budget:
             aborted = True
-            return
+            break
         if not residual:
             if weight < best_weight:
                 best_weight = weight
                 best = Chain(z.n, z.k + 1, frozenset(chosen))
-            return
-        if weight + -(-len(residual) // denominator) >= best_weight:
-            return
-        pivot = min(residual)
-        options = sorted(
-            cell for cell in pivot.coboundary() if cell not in chosen and cell not in excluded
-        )
-        tried: list[Face] = []
-        for cell in options:
-            chosen.add(cell)
-            search(residual ^ cell_boundary(cell), weight + 1)
-            chosen.remove(cell)
-            if aborted:
+        elif weight + -(-len(residual) // denominator) < best_weight:
+            pivot = min(residual)
+            options = sorted(
+                cell for cell in pivot.coboundary() if cell not in chosen and cell not in excluded
+            )
+            stack.append((residual, weight, options, 0))
+        # Back up to the deepest node with an untried cell and branch on it.
+        while stack:
+            residual, weight, options, tried = stack.pop()
+            if tried:
+                chosen.remove(options[tried - 1])
+                excluded.add(options[tried - 1])
+            if tried < len(options):
+                cell = options[tried]
+                stack.append((residual, weight, options, tried + 1))
+                chosen.add(cell)
+                residual, weight = residual ^ cell_boundary(cell), weight + 1
                 break
-            excluded.add(cell)
-            tried.append(cell)
-        for cell in tried:
-            excluded.remove(cell)
-
-    search(z.support, 0)
+            excluded.difference_update(options)
+        if not stack:
+            break
     return FillResult(best, "exact", best_weight, optimal=not aborted, nodes_explored=nodes)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cubefill import Chain, minimizer_cycle, read_chain, write_chain
+from cubefill import Chain, minimizer_cycle, random_cycle, read_chain, write_chain
 from cubefill.cli import (
     CSV_HEADER,
     EXIT_INVALID,
@@ -120,6 +120,18 @@ class TestFill:
         assert report["results"]["optimal"] is False
         filling = read_chain(report["results"]["filling_path"])
         assert filling.boundary() == minimizer_cycle(4, 1)
+
+    def test_deep_exact_search_exits_ok(self, tmp_path, capsys):
+        # the search path grows past the interpreter's recursion limit
+        z = random_cycle(10, 1, 0.08, seed=1)
+        path = tmp_path / "deep.chain"
+        write_chain(z, path)
+        code, report = run_json(
+            capsys, ["fill", str(path), "--strategy", "exact", "--budget", "1100", "--json"]
+        )
+        assert code == EXIT_OK
+        assert report["status"] == "ok"
+        assert read_chain(report["results"]["filling_path"]).boundary() == z
 
     def test_parse_error_has_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.chain"

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from cubefill import (
     exact_fill,
     fill_bound_linear,
     fill_bound_power,
+    format_chain_text,
     leq_with_tolerance,
     linear_fill,
     minimizer_cycle,
@@ -31,6 +34,55 @@ def brute_force_fill_weight(z, max_weight):
             if Chain(z.n, z.k + 1, frozenset(combo)).boundary() == z:
                 return weight
     return None
+
+
+def dumbbell():
+    """Two bulky 2-cycles in opposite hyperfaces of Q_8 joined by a 4-edge tube."""
+    cell = Chain.from_words("**00000")
+    side_a = cell + random_cycle(7, 2, 0.1, 11)
+    side_b = cell + random_cycle(7, 2, 0.1, 23)
+    return side_a.inject(1, "fixed-1") + side_b.inject(1, "fixed-0") + cell.boundary().prism(1)
+
+
+def lift(z, n, seed):
+    """Move z into Q_n by inserting pinned coordinates at seeded positions."""
+    rng = random.Random(seed)
+    while z.n < n:
+        z = z.inject(rng.randint(1, z.n + 1), rng.choice(("fixed-0", "fixed-1")))
+    return z
+
+
+def golden_corpus():
+    for n in range(2, 8):
+        for k in range(1, n):
+            yield minimizer_cycle(n, k)
+    for k in (1, 2, 3):
+        for seed in range(3):
+            yield random_cycle(6, k, 0.07, seed)
+    # each of these reaches case 1 of the recursive engine
+    yield random_cycle(8, 2, 0.01, 31)
+    yield random_cycle(7, 3, 0.03, 30)
+    # small cycles in big cubes, where most coordinates are inactive
+    yield lift(minimizer_cycle(4, 2), 32, 1)
+    yield lift(random_cycle(5, 3, 0.2, 4), 48, 2)
+    yield lift(random_cycle(6, 2, 0.05, 6), 40, 3) + lift(minimizer_cycle(4, 2), 40, 4)
+    yield lift(minimizer_cycle(5, 3), 64, 5) + lift(minimizer_cycle(5, 3), 64, 6)
+    yield dumbbell()
+
+
+# sha256 over the linear and recursive filling files of golden_corpus().
+# Filling files are the behaviour contract: a refactor of the engines must
+# leave this digest unchanged, or say why it changes.
+GOLDEN_FILLINGS_SHA256 = "b92202a7eb5b6f7d424b21e61fbc2b5f2b9c940235a764ff31391cc2f65eec0d"
+
+
+def test_golden_fillings_are_unchanged():
+    digest = hashlib.sha256()
+    for z in golden_corpus():
+        assert z.is_cycle()
+        digest.update(format_chain_text(linear_fill(z).filling).encode())
+        digest.update(format_chain_text(recursive_fill(z).filling).encode())
+    assert digest.hexdigest() == GOLDEN_FILLINGS_SHA256
 
 
 def small_cycles():
@@ -134,11 +186,7 @@ class TestRecursiveFill:
         # so the filler must fill the crossing one degree down and cap it
         # with its prism.  The preconditions are asserted so a change to the
         # slice selection rule cannot silently reroute the test.
-        cell = Chain.from_words("**00000")
-        tube = cell.boundary()
-        side_a = cell + random_cycle(7, 2, 0.1, 11)
-        side_b = cell + random_cycle(7, 2, 0.1, 23)
-        z = side_a.inject(1, "fixed-1") + side_b.inject(1, "fixed-0") + tube.prism(1)
+        z = dumbbell()
         assert z.is_cycle()
 
         consts = constants_for(2)
@@ -219,6 +267,15 @@ class TestExactFill:
             assert best.filling.norm <= linear_fill(z).filling.norm
             if z.k >= 1:
                 assert best.filling.norm <= recursive_fill(z).filling.norm
+
+    def test_deep_search_does_not_overflow_the_stack(self):
+        # the bound cannot prune until the path nears the linear seed's 1721
+        # cells, so the first dive runs deeper than the recursion limit
+        z = random_cycle(10, 1, 0.08, seed=1)
+        result = exact_fill(z, 1100)
+        assert not result.optimal
+        assert result.nodes_explored == 1101
+        assert result.filling.boundary() == z
 
     def test_node_counts_are_deterministic(self):
         z = minimizer_cycle(4, 1)
