@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from .chains import Chain
-from .faces import parse_face
+from .faces import MAX_COORDINATES, parse_face
 
 __all__ = ["ChainFormatError", "parse_chain_text", "format_chain_text", "read_chain", "write_chain"]
 
@@ -37,6 +37,8 @@ def parse_chain_text(text: str) -> Chain:
                 n, k = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ChainFormatError("header dimensions must be integers", lineno) from None
+            if n > MAX_COORDINATES:
+                raise ChainFormatError(f"dimension {n} above {MAX_COORDINATES}", lineno)
             if not 0 <= k <= n:
                 raise ChainFormatError(f"degree {k} outside [0, {n}]", lineno)
             header = (n, k)

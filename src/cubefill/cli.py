@@ -16,6 +16,7 @@ from math import comb
 from .chainfile import ChainFormatError, read_chain, write_chain
 from .chains import Chain, random_cycle
 from .constants import BOUND_REL_TOL, c_constant, leq_with_tolerance
+from .faces import MAX_COORDINATES, face_count
 from .filling import (
     DEFAULT_NODE_BUDGET,
     connected_components,
@@ -34,6 +35,8 @@ EXIT_IO = 4
 CSV_HEADER = "n,norm,fill,ratio,asymptote,quotient"
 
 _MAX_LISTED_FACES = 20
+# random_cycle draws every (k+1)-cell of Q_n; (14, 4) has 1,025,024 of them.
+_MAX_RANDOM_CELLS = 1 << 20
 
 
 def _report(command: str, inputs: dict, results: dict, status: str = "ok") -> dict:
@@ -167,14 +170,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ChainFormatError as exc:
         return _invalid("verify", inputs, str(exc), args.json)
     boundary = z.boundary()
-    active, _fixed, _restricted = support_subcube(z)
     results = {
         "n": z.n,
         "k": z.k,
         "norm": z.norm,
         "cycle": not boundary.support,
         "components": len(connected_components(z)),
-        "support_active_coordinates": len(active),
+        "support_active_coordinates": support_subcube(z).dim,
     }
     if boundary.support:
         results.update(_listed_boundary(boundary))
@@ -216,6 +218,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
         "out": args.out,
     }
     try:
+        if args.n > MAX_COORDINATES or face_count(args.n, args.k + 1) > _MAX_RANDOM_CELLS:
+            raise ValueError(f"need n <= {MAX_COORDINATES} and at most 2**20 cells of dimension k+1")
         z = random_cycle(args.n, args.k, args.density, args.seed)
     except ValueError as exc:
         return _invalid("random", inputs, str(exc), args.json)

@@ -22,9 +22,12 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
   filling, seeded with the linear filling and pruned by the admissible
   bound ceil(residual / (2(k+1))).
 
-Both engines choose their cut from per-coordinate counts of the faces
-pinned to 1, pinned to 0 and crossing, and slice the chain only along the
-chosen coordinate.
+The linear and recursive engines work in the input's own coordinates.  A
+subproblem is a cycle inside the cell of its live coordinates: a facet or
+a support subcube of Q_n is itself a cell of Q_n, so a cut pins one live
+coordinate in place instead of renumbering into a smaller cube.  Each
+level chooses its cut from per-coordinate counts of the faces pinned to 1,
+pinned to 0 and crossing, and rebuilds faces only along that coordinate.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -33,12 +36,13 @@ certificate n/2 * norm(z) still holds for the pairing.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, SliceDecomposition
+from .chains import Chain
 from .constants import c_constant, constants_for
-from .faces import Face, _deposit_bits, _extract_bits
+from .faces import Face
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -99,11 +103,11 @@ def fill_bound_power(k: int, norm: int) -> float:
     return c_constant(k) * float(norm) ** ((k + 1) / k)
 
 
-def _top_cell_fill(z: Chain) -> Chain:
-    # In Q_{k+1} the only nonempty k-cycle is the boundary of the top cell.
-    top = Face(z.n, (1 << z.n) - 1, 0)
-    if z.support == top.boundary():
-        return Chain(z.n, z.n, frozenset((top,)))
+def _top_cell_fill(z: Chain, live: int) -> Chain:
+    # In a (k+1)-cell the only nonempty k-cycle is the boundary of the cell.
+    cell = Face(z.n, live, next(iter(z.support)).fixed_bits & ~live)
+    if z.support == cell.boundary():
+        return Chain(z.n, z.k + 1, frozenset((cell,)))
     raise ValueError("chain is not a cycle")
 
 
@@ -124,47 +128,64 @@ def _fill_zero_cycle(z: Chain) -> Chain:
     return Chain(z.n, 1, frozenset(edges))
 
 
-def _slice_counts(z: Chain) -> list[tuple[int, int, int]]:
-    """Per coordinate, the faces pinned to 1, pinned to 0, and crossing."""
-    ones = [0] * z.n
-    crossing = [0] * z.n
+def _split(z: Chain, bit: int) -> tuple[list[Face], list[Face], list[Face]]:
+    """The faces of z pinned to 0, pinned to 1, and free at the coordinate ``bit``."""
+    sides: tuple[list[Face], list[Face], list[Face]] = ([], [], [])
     for face in z.support:
-        for i in range(z.n):
-            ones[i] += face.fixed_bits >> i & 1
-            crossing[i] += face.free_mask >> i & 1
-    return [(o, z.norm - o - c, c) for o, c in zip(ones, crossing)]
+        sides[2 if face.free_mask & bit else 1 if face.fixed_bits & bit else 0].append(face)
+    return sides
 
 
-def _best_slice(z: Chain) -> SliceDecomposition:
-    """The (coordinate, side) slice minimizing the exact inductive cost.
+def _slice_counts(z: Chain, live: int) -> list[tuple[int, int, int, int]]:
+    """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing."""
+    counts = []
+    while live:
+        bit = live & -live
+        zeros, ones, crossing = map(len, _split(z, bit))
+        counts.append((bit, ones, zeros, crossing))
+        live ^= bit
+    return counts
 
-    The cost pushed + (n-k-1)/(2(k+1)) * (ones + zeros) is scaled by 2(k+1)
-    to stay in integers.  Ties go to the lowest coordinate, then plus = 1.
-    """
-    n, k = z.n, z.k
-    _, coordinate, flip = min(
-        (2 * (k + 1) * pushed + (n - k - 1) * (ones + zeros), coordinate, flip)
-        for coordinate, (ones, zeros, _) in enumerate(_slice_counts(z), 1)
-        for flip, pushed in ((0, ones), (1, zeros))
+
+def _pin(faces: Iterable[Face], bit: int, value: int | None) -> frozenset[Face]:
+    """The faces with the coordinate ``bit`` pinned to ``value``, or freed when it is None."""
+    free = bit if value is None else 0
+    fixed = bit if value == 1 else 0
+    return frozenset(
+        Face(f.n, f.free_mask & ~bit | free, f.fixed_bits & ~bit | fixed) for f in faces
     )
-    return z.slice(coordinate, 1 - flip)
 
 
-def _push_across(cut: SliceDecomposition, fill: Chain) -> Chain:
-    """Extend a filling of z_plus + z_minus to the sliced chain by pushing z_plus across."""
-    pushed = cut.z_plus.prism(cut.coordinate)
-    return fill.inject(cut.coordinate, f"fixed-{1 - cut.plus_value}") + pushed
+def _cut(z: Chain, bit: int, plus_value: int) -> tuple[Chain, Chain]:
+    """Push the faces of z pinned to ``plus_value`` across the coordinate ``bit``.
+
+    Returns the rest, a cycle in the facet pinned to the other value, and the
+    pushed (k+1)-chain: a filling of the rest plus the pushed chain fills z.
+    """
+    sides = _split(z, bit)
+    plus = sides[plus_value]
+    rest = _pin(plus, bit, 1 - plus_value) ^ frozenset(sides[1 - plus_value])
+    return Chain(z.n, z.k, rest), Chain(z.n, z.k + 1, _pin(plus, bit, None))
 
 
-def _linear_fill_chain(z: Chain) -> Chain:
+def _linear_fill_chain(z: Chain, live: int) -> Chain:
     if not z.support:
         return Chain(z.n, z.k + 1)
     if z.k == 0:
         return _fill_zero_cycle(z)
-    if z.n == z.k + 1:
-        return _top_cell_fill(z)
-    cut = _best_slice(z)
-    return _push_across(cut, _linear_fill_chain(cut.z_plus + cut.z_minus))
+    n, k = live.bit_count(), z.k
+    if n == k + 1:
+        return _top_cell_fill(z, live)
+    # The cut minimizing the exact inductive cost
+    # pushed + (n-k-1)/(2(k+1)) * (ones + zeros), scaled by 2(k+1) to stay in
+    # integers.  Ties go to the lowest coordinate, then plus = 1.
+    _, bit, flip = min(
+        (2 * (k + 1) * pushed + (n - k - 1) * (ones + zeros), bit, flip)
+        for bit, ones, zeros, _ in _slice_counts(z, live)
+        for flip, pushed in ((0, ones), (1, zeros))
+    )
+    rest, pushed = _cut(z, bit, 1 - flip)
+    return _linear_fill_chain(rest, live & ~bit) + pushed
 
 
 def linear_fill(z: Chain) -> FillResult:
@@ -175,7 +196,7 @@ def linear_fill(z: Chain) -> FillResult:
     certificate = (
         fill_bound_linear(z.n, z.k, z.norm) if z.support else Fraction(0)
     )
-    return FillResult(_linear_fill_chain(z), "linear", certificate)
+    return FillResult(_linear_fill_chain(z, (1 << z.n) - 1), "linear", certificate)
 
 
 def connected_components(z: Chain) -> list[Chain]:
@@ -205,101 +226,72 @@ def connected_components(z: Chain) -> list[Chain]:
     return components
 
 
-def support_subcube(z: Chain) -> tuple[tuple[int, ...], dict[int, int], Chain]:
-    """Active coordinates, pinned values of the rest, and the restriction.
+def support_subcube(z: Chain) -> Face:
+    """The smallest cell of Q_n holding every face of z.
 
-    A coordinate is active when some face leaves it free or when the support
-    takes both pinned values there.  The restricted chain lives in a cube of
-    dimension len(active); injecting the pinned coordinates back recovers z.
+    Its free coordinates are the active ones: some face leaves them free, or
+    the support takes both pinned values there.  The empty chain gets the
+    vertex 0...0.
     """
-    if not z.support:
-        return ((), {}, Chain(0, z.k))
-    full = (1 << z.n) - 1
     free_any = 0
     ones = 0
     zeros = 0
     for face in z.support:
         free_any |= face.free_mask
         ones |= face.fixed_bits
-        zeros |= ~face.fixed_bits & ~face.free_mask & full
-    active_mask = free_any | (ones & zeros)
-    active = tuple(i + 1 for i in range(z.n) if active_mask >> i & 1)
-    fixed_values = {
-        i + 1: 1 if ones >> i & 1 else 0
-        for i in range(z.n)
-        if not active_mask >> i & 1
-    }
-    m = len(active)
-    restricted = frozenset(
-        Face(m, _extract_bits(f.free_mask, active_mask), _extract_bits(f.fixed_bits, active_mask))
-        for f in z.support
-    )
-    return (active, fixed_values, Chain(m, z.k, restricted))
+        zeros |= ~(face.free_mask | face.fixed_bits)
+    active = free_any | ones & zeros
+    return Face(z.n, active, ones & ~active)
 
 
-def _embed_from_subcube(chain: Chain, fixed_values: dict[int, int]) -> Chain:
-    n = chain.n + len(fixed_values)
-    active = ~sum(1 << (c - 1) for c in fixed_values) & ((1 << n) - 1)
-    pinned = sum(value << (c - 1) for c, value in fixed_values.items())
-    faces = frozenset(
-        Face(n, _deposit_bits(f.free_mask, active), _deposit_bits(f.fixed_bits, active) | pinned)
-        for f in chain.support
-    )
-    return Chain(n, chain.k, faces)
-
-
-def _recursive_fill_chain(z: Chain) -> Chain:
-    n, k = z.n, z.k
+def _recursive_fill_chain(z: Chain, live: int) -> Chain:
+    k = z.k
     if not z.support:
-        return Chain(n, k + 1)
-    if n == k + 1:
-        return _top_cell_fill(z)
+        return Chain(z.n, k + 1)
+    if live.bit_count() == k + 1:
+        return _top_cell_fill(z, live)
     if k == 1:
-        # A connected 1-cycle of norm 2m fits in an m-dimensional subcube,
-        # where the linear certificate is already quadratic in the norm.
-        parts = Chain(n, 2)
+        # A connected 1-cycle of norm 2m fits in an m-dimensional cell, where
+        # the linear certificate is already quadratic in the norm.
+        parts = Chain(z.n, 2)
         for component in connected_components(z):
-            _active, fixed_values, inner = support_subcube(component)
-            parts = parts + _embed_from_subcube(_linear_fill_chain(inner), fixed_values)
+            parts = parts + _linear_fill_chain(component, support_subcube(component).free_mask)
         return parts
 
-    # Coordinates nothing crosses, with everything on one side: restrict to
-    # the other coordinates before any case analysis.
-    _active, fixed_values, inner = support_subcube(z)
-    if fixed_values:
-        return _embed_from_subcube(_recursive_fill_chain(inner), fixed_values)
+    # Coordinates nothing crosses, with everything on one side: drop them
+    # from the live cell before any case analysis.
+    cell = support_subcube(z)
+    if cell.free_mask != live:
+        return _recursive_fill_chain(z, cell.free_mask)
 
     consts = constants_for(k)
     threshold = consts.epsilon * float(z.norm) ** ((k - 1) / k)
     candidates: list[tuple[int, int, int, int, int]] = []
-    for coordinate, (ones, zeros, crossing) in enumerate(_slice_counts(z), 1):
+    for bit, ones, zeros, crossing in _slice_counts(z, live):
         if crossing >= threshold:
             continue
         cheap = min(ones, zeros) <= consts.delta * float(crossing) ** (k / (k - 1))
-        candidates.append((crossing, 0 if cheap else 1, coordinate, ones, zeros))
+        candidates.append((crossing, 0 if cheap else 1, bit, ones, zeros))
 
     if not candidates:
         # Every slice crosses a lot, so the cycle is large and the linear
         # certificate fits under the power certificate.
-        return _linear_fill_chain(z)
+        return _linear_fill_chain(z, live)
 
-    _, cheap_tag, coordinate, ones, zeros = min(candidates)
+    _, cheap_tag, bit, ones, zeros = min(candidates)
+    inner = live & ~bit
     if cheap_tag == 0:
         # Case 1: push the smaller side across the slice.
-        cut = z.slice(coordinate, 1 if ones <= zeros else 0)
-        return _push_across(cut, _recursive_fill_chain(cut.z_plus + cut.z_minus))
+        rest, pushed = _cut(z, bit, 1 if ones <= zeros else 0)
+        return _recursive_fill_chain(rest, inner) + pushed
 
-    # Case 2: fill the crossing one degree down, cap it with its prism, and
-    # fill the two corrected sides separately in their hyperfaces.
-    cut = z.slice(coordinate, 1)
-    w0 = _recursive_fill_chain(cut.z_zero)
-    plus_part = _recursive_fill_chain(cut.z_plus + w0)
-    minus_part = _recursive_fill_chain(cut.z_minus + w0)
-    return (
-        w0.prism(cut.coordinate)
-        + plus_part.inject(cut.coordinate, f"fixed-{cut.plus_value}")
-        + minus_part.inject(cut.coordinate, f"fixed-{1 - cut.plus_value}")
-    )
+    # Case 2: fill the crossing one degree down in the 0 facet, cap it with
+    # its prism, and fill the two corrected sides separately in their facets.
+    zero_side, one_side, crossing = _split(z, bit)
+    w0 = _recursive_fill_chain(Chain(z.n, k - 1, _pin(crossing, bit, 0)), inner).support
+    plus_part = _recursive_fill_chain(Chain(z.n, k, frozenset(one_side) ^ _pin(w0, bit, 1)), inner)
+    minus_part = _recursive_fill_chain(Chain(z.n, k, frozenset(zero_side) ^ w0), inner)
+    return Chain(z.n, k + 1, _pin(w0, bit, None)) + plus_part + minus_part
 
 
 def recursive_fill(z: Chain) -> FillResult:
@@ -310,7 +302,7 @@ def recursive_fill(z: Chain) -> FillResult:
     if z.support and z.n < z.k + 1:
         raise ValueError("no fillings exist above the top degree")
     certificate = fill_bound_power(z.k, z.norm) if z.support else 0.0
-    return FillResult(_recursive_fill_chain(z), "recursive", certificate)
+    return FillResult(_recursive_fill_chain(z, (1 << z.n) - 1), "recursive", certificate)
 
 
 def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
@@ -332,7 +324,7 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     if not z.support:
         return FillResult(Chain(z.n, z.k + 1), "exact", 0, optimal=True)
 
-    seed = _linear_fill_chain(z)
+    seed = _linear_fill_chain(z, (1 << z.n) - 1)
     best = seed
     best_weight = seed.norm
     denominator = 2 * (z.k + 1)

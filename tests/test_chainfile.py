@@ -84,3 +84,10 @@ def test_empty_above_top_degree_clamps_its_nominal_label():
     text = format_chain_text(Chain(2, 3))
     assert text == "cube 2 2\n"
     assert parse_chain_text(text).norm == 0
+
+
+def test_header_above_max_coordinates_reports_line():
+    with pytest.raises(ChainFormatError) as info:
+        parse_chain_text("# too big\ncube 100 1\n")
+    assert info.value.line == 2
+    assert "100" in str(info.value)

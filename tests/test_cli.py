@@ -181,6 +181,16 @@ class TestVerify:
         assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("command", ["fill", "verify"])
+def test_header_above_max_coordinates_is_invalid(tmp_path, capsys, command):
+    path = tmp_path / "big.chain"
+    path.write_text("cube 100 1\n")
+    code, report = run_json(capsys, [command, str(path), "--json"])
+    assert code == EXIT_INVALID
+    assert report["status"] == "invalid-input"
+    assert "line 1" in report["results"]["error"]
+
+
 class TestSharpness:
     def test_csv_header_and_rows(self, capsys):
         code = main(["sharpness", "1", "--n-max", "100", "--csv"])
@@ -278,6 +288,14 @@ class TestRandom:
             ["random", "4", "1", "--out", str(tmp_path / "no" / "dir" / "x.chain")]
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("n", ["40", "65"])
+    def test_too_many_cells_is_invalid(self, tmp_path, capsys, n):
+        path = tmp_path / "x.chain"
+        code, report = run_json(capsys, ["random", n, "1", "--out", str(path), "--json"])
+        assert code == EXIT_INVALID
+        assert report["status"] == "invalid-input"
+        assert not path.exists()
 
 
 class TestHumanOutput:

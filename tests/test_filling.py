@@ -18,6 +18,7 @@ from cubefill import (
     leq_with_tolerance,
     linear_fill,
     minimizer_cycle,
+    parse_face,
     random_cycle,
     recursive_fill,
     support_subcube,
@@ -305,32 +306,52 @@ class TestComponents:
         assert connected_components(Chain(3, 1)) == []
 
 
+def inside(face, cell):
+    """Whether a face lies in a cell: it frees no more and agrees where the cell is pinned."""
+    pinned = ~cell.free_mask
+    return face.free_mask & pinned == 0 and face.fixed_bits & pinned == cell.fixed_bits
+
+
 class TestSupportSubcube:
     def test_single_edge(self):
-        active, fixed_values, inner = support_subcube(Chain.from_words("*00"))
-        assert active == (1,)
-        assert fixed_values == {2: 0, 3: 0}
-        assert inner == Chain.from_words("*")
+        assert support_subcube(Chain.from_words("*00")) == parse_face("*00")
 
     def test_connected_one_cycles_fit_in_half_norm_dimensions(self):
         for seed in range(12):
             z = random_cycle(8, 1, 0.012, seed)
             for component in connected_components(z):
-                active, _values, _inner = support_subcube(component)
-                assert len(active) <= component.norm // 2
+                assert support_subcube(component).dim <= component.norm // 2
 
     def test_minimizer_uses_every_coordinate(self):
-        active, _values, inner = support_subcube(minimizer_cycle(6, 2))
-        assert active == tuple(range(1, 7))
-        assert inner == minimizer_cycle(6, 2)
+        assert support_subcube(minimizer_cycle(6, 2)) == parse_face("******")
 
-    def test_restriction_round_trip(self):
+    def test_every_face_lies_inside_the_cell(self):
         z = Chain.from_words("0*110", "01*10")
-        active, fixed_values, inner = support_subcube(z)
-        rebuilt = inner
-        for coordinate in sorted(fixed_values):
-            rebuilt = rebuilt.inject(coordinate, f"fixed-{fixed_values[coordinate]}")
-        assert rebuilt == z
+        assert support_subcube(z) == parse_face("0**10")
+        lifted = lift(minimizer_cycle(4, 2), 32, 1)
+        cell = support_subcube(lifted)
+        assert cell.dim == 4
+        for chain, cell in ((z, support_subcube(z)), (lifted, cell)):
+            assert all(inside(face, cell) for face in chain.support)
+
+    def test_empty_chain_gets_the_origin(self):
+        assert support_subcube(Chain(4, 1)) == parse_face("0000")
+
+
+def test_fillings_stay_inside_the_support_cell():
+    corpus = list(golden_corpus())
+    for seed, k in enumerate((1, 2, 3, 2)):
+        n = 24 + 8 * seed
+        corpus.append(
+            lift(random_cycle(6, k, 0.05, seed), n, 10 + seed)
+            + lift(minimizer_cycle(k + 2, k), n, 20 + seed)
+        )
+    for z in corpus:
+        cell = support_subcube(z)
+        for engine in (linear_fill, recursive_fill):
+            filling = engine(z).filling
+            assert filling.boundary() == z
+            assert all(inside(face, cell) for face in filling.support), (z, engine.__name__)
 
 
 class TestBounds:
