@@ -20,7 +20,8 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
 
 * ``exact_fill`` is a branch-and-bound search for a minimum-weight
   filling, seeded with the linear filling and pruned by the admissible
-  bound ceil(residual / (2(k+1))).
+  bound ceil(residual / (2(k+1))).  It searches on faces coded as ints,
+  so its residual is a frozenset of codes and its pivot a plain ``min``.
 
 The linear and recursive engines work in the input's own coordinates.  A
 subproblem is a cycle inside the cell of its live coordinates: a facet or
@@ -36,7 +37,7 @@ certificate n/2 * norm(z) still holds for the pairing.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,6 +104,13 @@ def fill_bound_power(k: int, norm: int) -> float:
     return c_constant(k) * float(norm) ** ((k + 1) / k)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        yield mask & -mask
+        mask &= mask - 1
+
+
 def _top_cell_fill(z: Chain, live: int) -> Chain:
     # In a (k+1)-cell the only nonempty k-cycle is the boundary of the cell.
     cell = Face(z.n, live, next(iter(z.support)).fixed_bits & ~live)
@@ -119,12 +127,9 @@ def _fill_zero_cycle(z: Chain) -> Chain:
     edges: set[Face] = set()
     for a, b in zip(vertices[0::2], vertices[1::2]):
         current = a.fixed_bits
-        diff = current ^ b.fixed_bits
-        while diff:
-            bit = diff & -diff
+        for bit in _bits(current ^ b.fixed_bits):
             edges ^= {Face(z.n, bit, current & ~bit)}
             current ^= bit
-            diff &= diff - 1
     return Chain(z.n, 1, frozenset(edges))
 
 
@@ -139,11 +144,9 @@ def _split(z: Chain, bit: int) -> tuple[list[Face], list[Face], list[Face]]:
 def _slice_counts(z: Chain, live: int) -> list[tuple[int, int, int, int]]:
     """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing."""
     counts = []
-    while live:
-        bit = live & -live
+    for bit in _bits(live):
         zeros, ones, crossing = map(len, _split(z, bit))
         counts.append((bit, ones, zeros, crossing))
-        live ^= bit
     return counts
 
 
@@ -309,11 +312,16 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     """Minimum-weight filling by branch and bound.
 
     Any filling must contain a cell incident to each residual face, so the
-    search branches on the coboundary cells of the minimum-rank residual
-    face, in rank order, excluding cells already tried at this node so the
-    branches partition the solution space.  A node is pruned when its weight
-    plus ceil(residual / (2(k+1))) cannot beat the best known filling
-    (each cell clears at most 2(k+1) residual faces).
+    search branches on the coboundary cells of the least residual face, in
+    face order, excluding cells already tried at this node so the branches
+    partition the solution space.  A node is pruned when its weight plus
+    ceil(residual / (2(k+1))) cannot beat the best known filling (each cell
+    clears at most 2(k+1) residual faces).
+
+    The search runs on faces coded as ints, ``free_mask << n | fixed_bits``:
+    within one degree their integer order is face order, so the residual is
+    a frozenset of codes and its minimum is the pivot.  Only the best filling
+    is turned back into faces.
 
     If the node budget runs out, the best filling found so far is returned
     with ``optimal`` False.  Node counts are deterministic.
@@ -333,24 +341,30 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         # The seed already meets the global lower bound.
         return FillResult(best, "exact", best_weight, optimal=True)
 
-    boundary_cache: dict[Face, frozenset[Face]] = {}
+    n = z.n
+    full = (1 << n) - 1
+    boundary_cache: dict[int, frozenset[int]] = {}
 
-    def cell_boundary(cell: Face) -> frozenset[Face]:
+    def cell_boundary(cell: int) -> frozenset[int]:
         cached = boundary_cache.get(cell)
         if cached is None:
-            cached = cell.boundary()
-            boundary_cache[cell] = cached
+            free, fixed = cell >> n, cell & full
+            cached = boundary_cache[cell] = frozenset(
+                (free ^ bit) << n | fixed | value for bit in _bits(free) for value in (0, bit)
+            )
         return cached
 
-    chosen: set[Face] = set()
-    excluded: set[Face] = set()
+    chosen: set[int] = set()
+    excluded: set[int] = set()
+    best_cells: frozenset[int] | None = None
     nodes = 0
     aborted = False
     # Depth-first with an explicit stack, so the depth is not capped by the
     # interpreter.  Each frame holds a node's residual, its weight, the cells
     # it branches on, and how many of them it has tried.
-    stack: list[tuple[frozenset[Face], int, list[Face], int]] = []
-    residual, weight = z.support, 0
+    stack: list[tuple[frozenset[int], int, list[int], int]] = []
+    residual = frozenset(face.free_mask << n | face.fixed_bits for face in z.support)
+    weight = 0
     while True:
         nodes += 1
         if nodes > node_budget:
@@ -359,12 +373,14 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         if not residual:
             if weight < best_weight:
                 best_weight = weight
-                best = Chain(z.n, z.k + 1, frozenset(chosen))
+                best_cells = frozenset(chosen)
         elif weight + -(-len(residual) // denominator) < best_weight:
             pivot = min(residual)
-            options = sorted(
-                cell for cell in pivot.coboundary() if cell not in chosen and cell not in excluded
-            )
+            free, fixed = pivot >> n, pivot & full
+            # Freeing a higher coordinate gives a larger code, so the
+            # coboundary comes out in face order.
+            coboundary = ((free | bit) << n | fixed & ~bit for bit in _bits(~free & full))
+            options = [cell for cell in coboundary if cell not in chosen and cell not in excluded]
             stack.append((residual, weight, options, 0))
         # Back up to the deepest node with an untried cell and branch on it.
         while stack:
@@ -381,4 +397,6 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
             excluded.difference_update(options)
         if not stack:
             break
+    if best_cells is not None:
+        best = Chain(n, z.k + 1, frozenset(Face(n, c >> n, c & full) for c in best_cells))
     return FillResult(best, "exact", best_weight, optimal=not aborted, nodes_explored=nodes)

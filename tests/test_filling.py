@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cubefill import (
+    DEFAULT_NODE_BUDGET,
     Chain,
     c_constant,
     connected_components,
@@ -84,6 +85,31 @@ def test_golden_fillings_are_unchanged():
         digest.update(format_chain_text(linear_fill(z).filling).encode())
         digest.update(format_chain_text(recursive_fill(z).filling).encode())
     assert digest.hexdigest() == GOLDEN_FILLINGS_SHA256
+
+
+def exact_corpus():
+    yield minimizer_cycle(6, 2), 8_000
+    for n, k in ((5, 1), (6, 3), (5, 2)):
+        yield minimizer_cycle(n, k), DEFAULT_NODE_BUDGET
+    for seed in range(1, 5):
+        yield random_cycle(6, 1, 0.25, seed=seed), 6_000
+    yield random_cycle(10, 1, 0.08, seed=1), 1_100
+
+
+# sha256 over (filling file, nodes_explored, optimal) of each exact search in
+# exact_corpus().  The search's branch order and budget abort are part of the
+# contract: a faster search must reach the same nodes in the same order.
+GOLDEN_EXACT_SHA256 = "1bbbda4114ac2bc0da9049b9988695b0ef9cf22cad4b312d7f207c610c108f74"
+
+
+def test_golden_exact_searches_are_unchanged():
+    digest = hashlib.sha256()
+    for z, budget in exact_corpus():
+        result = exact_fill(z, budget)
+        assert result.filling.boundary() == z
+        digest.update(format_chain_text(result.filling).encode())
+        digest.update(f"{result.nodes_explored} {result.optimal}\n".encode())
+    assert digest.hexdigest() == GOLDEN_EXACT_SHA256
 
 
 def small_cycles():
@@ -277,6 +303,25 @@ class TestExactFill:
         assert not result.optimal
         assert result.nodes_explored == 1101
         assert result.filling.boundary() == z
+
+    def test_searches_cubes_of_the_full_width(self):
+        # four live coordinates spread over Q_64, the rest pinned: face ranks
+        # here run far past any machine word, so the search must not index by them
+        positions = (0, 21, 42, 63)
+        background = ["1" if i % 3 else "0" for i in range(64)]
+
+        def spread(face):
+            word = background[:]
+            for position, symbol in zip(positions, str(face)):
+                word[position] = symbol
+            return "".join(word)
+
+        z = Chain.from_words(*(spread(f) for f in minimizer_cycle(4, 1).support))
+        result = exact_fill(z, 3000)
+        assert result.filling.boundary() == z
+        assert result.filling.norm == 6
+        assert not result.optimal
+        assert result.nodes_explored == 3001
 
     def test_node_counts_are_deterministic(self):
         z = minimizer_cycle(4, 1)
