@@ -12,7 +12,7 @@ from .chainfile import (
     read_chain,
     write_chain,
 )
-from .chains import BoundaryMatrix, Chain, SliceDecomposition, boundary_matrix, random_cycle
+from .chains import Chain, SliceDecomposition, random_cycle
 from .constants import (
     BOUND_REL_TOL,
     PREDICATE_TOL,
@@ -26,11 +26,8 @@ from .constants import (
 from .faces import (
     MAX_COORDINATES,
     Face,
-    FaceRank,
     enumerate_faces,
     face_count,
-    face_rank,
-    face_unrank,
     parse_face,
     render_face,
 )
@@ -60,19 +57,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOUND_REL_TOL",
-    "BoundaryMatrix",
     "Chain",
     "ChainFormatError",
     "ConstantSet",
     "DEFAULT_NODE_BUDGET",
     "Face",
-    "FaceRank",
     "FillResult",
     "MAX_COORDINATES",
     "PREDICATE_TOL",
     "SharpnessRow",
     "SliceDecomposition",
-    "boundary_matrix",
     "c_constant",
     "check_absorbed_cost",
     "check_split_overhead",
@@ -81,8 +75,6 @@ __all__ = [
     "enumerate_faces",
     "exact_fill",
     "face_count",
-    "face_rank",
-    "face_unrank",
     "fill_bound_linear",
     "fill_bound_power",
     "format_chain_text",

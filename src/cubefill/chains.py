@@ -1,4 +1,4 @@
-"""Z2 chain algebra on cube cells: sums, boundaries, slicing, matrices."""
+"""Z2 chain algebra on cube cells: sums, boundaries, slicing."""
 
 from __future__ import annotations
 
@@ -6,22 +6,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .faces import (
-    Face,
-    enumerate_faces,
-    face_count,
-    face_rank,
-    face_unrank,
-    FaceRank,
-    MAX_COORDINATES,
-    parse_face,
-)
+from .faces import Face, enumerate_faces, MAX_COORDINATES, parse_face
 
 __all__ = [
     "Chain",
     "SliceDecomposition",
-    "BoundaryMatrix",
-    "boundary_matrix",
     "random_cycle",
 ]
 
@@ -191,82 +180,3 @@ def random_cycle(n: int, k: int, density: float, seed: int) -> Chain:
     rng = random.Random(seed)
     chosen = frozenset(f for f in enumerate_faces(n, k + 1) if rng.random() < density)
     return Chain(n, k + 1, chosen).boundary()
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Sparse GF(2) matrix of the boundary map from degree k to k-1.
-
-    Rows are (k-1)-face ranks, columns are k-face ranks; each column is a
-    bitset of row indices.
-    """
-
-    n: int
-    k: int
-    columns: tuple[int, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (face_count(self.n, self.k - 1), face_count(self.n, self.k))
-
-    def column_support(self, j: int) -> tuple[int, ...]:
-        rows = []
-        bits = self.columns[j]
-        while bits:
-            low = bits & -bits
-            rows.append(low.bit_length() - 1)
-            bits &= bits - 1
-        return tuple(rows)
-
-    def row_weights(self) -> list[int]:
-        weights = [0] * self.shape[0]
-        for bits in self.columns:
-            while bits:
-                low = bits & -bits
-                weights[low.bit_length() - 1] += 1
-                bits &= bits - 1
-        return weights
-
-    def apply(self, chain: Chain) -> Chain:
-        """Matrix-vector product; agrees with Chain.boundary."""
-        if chain.n != self.n or chain.k != self.k:
-            raise ValueError(
-                f"chain (n={chain.n}, k={chain.k}) does not match matrix "
-                f"(n={self.n}, k={self.k})"
-            )
-        acc = 0
-        for face in chain.support:
-            acc ^= self.columns[face_rank(face).index]
-        faces = []
-        while acc:
-            low = acc & -acc
-            faces.append(face_unrank(FaceRank(self.n, self.k - 1, low.bit_length() - 1)))
-            acc &= acc - 1
-        return Chain(self.n, self.k - 1, frozenset(faces))
-
-    def compose(self, upper: BoundaryMatrix) -> tuple[int, ...]:
-        """Column bitsets of self applied after ``upper`` (one degree up)."""
-        if upper.n != self.n or upper.k != self.k + 1:
-            raise ValueError("matrices are not consecutive degrees")
-        out = []
-        for bits in upper.columns:
-            acc = 0
-            while bits:
-                low = bits & -bits
-                acc ^= self.columns[low.bit_length() - 1]
-                bits &= bits - 1
-            out.append(acc)
-        return tuple(out)
-
-
-def boundary_matrix(n: int, k: int) -> BoundaryMatrix:
-    """Assemble the boundary matrix for degree k of Q_n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"degree {k} outside [1, {n}]")
-    columns = []
-    for face in enumerate_faces(n, k):
-        bits = 0
-        for g in face.boundary():
-            bits |= 1 << face_rank(g).index
-        columns.append(bits)
-    return BoundaryMatrix(n, k, tuple(columns))

@@ -188,7 +188,10 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     inputs = {"k": args.k, "n_max": args.n_max}
     if args.k < 1 or args.n_max <= args.k:
         return _invalid("sharpness", inputs, "need k >= 1 and n_max > k", args.json)
-    rows = sharpness_table(args.k, range(args.k + 1, args.n_max + 1))
+    try:
+        rows = sharpness_table(args.k, range(args.k + 1, args.n_max + 1))
+    except ValueError as exc:
+        return _invalid("sharpness", inputs, str(exc), args.json)
     if args.csv:
         print(CSV_HEADER)
         for row in rows:

@@ -3,7 +3,7 @@
 A k-dimensional cell of Q_n is a length-n word over {0, 1, *} with exactly
 k stars: starred coordinates are free, the others are pinned to the written
 bit.  Cells are stored as a pair of bit masks, which keeps equality,
-hashing, incidence and ranking cheap.  Coordinates are 1-based in words and
+hashing, incidence and ordering cheap.  Coordinates are 1-based in words and
 messages, 0-based inside the masks.
 """
 
@@ -17,43 +17,14 @@ from math import comb
 __all__ = [
     "MAX_COORDINATES",
     "Face",
-    "FaceRank",
     "parse_face",
     "render_face",
     "face_count",
-    "face_rank",
-    "face_unrank",
     "enumerate_faces",
 ]
 
 # Masks must fit in a machine word; desk-scale work never gets close.
 MAX_COORDINATES = 64
-
-
-def _extract_bits(value: int, mask: int) -> int:
-    """Compact the bits of ``value`` selected by ``mask`` into the low end."""
-    out = 0
-    i = 0
-    while mask:
-        low = mask & -mask
-        if value & low:
-            out |= 1 << i
-        i += 1
-        mask &= mask - 1
-    return out
-
-
-def _deposit_bits(value: int, mask: int) -> int:
-    """Spread the low bits of ``value`` into the positions selected by ``mask``."""
-    out = 0
-    i = 0
-    while mask:
-        low = mask & -mask
-        if value >> i & 1:
-            out |= low
-        i += 1
-        mask &= mask - 1
-    return out
 
 
 def _delete_bit(mask: int, pos: int) -> int:
@@ -149,9 +120,8 @@ class Face:
         )
 
     def _order_key(self) -> tuple[int, int, int, int]:
-        # Mask order agrees with rank order: colex on the free set is plain
-        # integer order of free_mask, and packed fixed bits are monotone in
-        # fixed_bits once the free set is fixed.
+        # Face order: by degree, then colex on the free set (plain integer
+        # order of free_mask), then by fixed_bits.
         return (self.n, self.dim, self.free_mask, self.fixed_bits)
 
     def __lt__(self, other: object) -> bool:
@@ -203,59 +173,9 @@ def face_count(n: int, k: int) -> int:
     return (1 << (n - k)) * comb(n, k)
 
 
-@dataclass(frozen=True)
-class FaceRank:
-    """Position of a face in the canonical order of its (n, k) stratum."""
-
-    n: int
-    k: int
-    index: int
-
-    def __post_init__(self) -> None:
-        count = face_count(self.n, self.k)
-        if not 0 <= self.index < count:
-            raise ValueError(f"index {self.index} outside [0, {count})")
-
-
-def face_rank(face: Face) -> FaceRank:
-    """Rank a face: colex rank of its free set, then its packed fixed bits."""
-    n, k = face.n, face.dim
-    combo = 0
-    j = 0
-    free = face.free_mask
-    while free:
-        bit = free & -free
-        combo += comb(bit.bit_length() - 1, j + 1)
-        j += 1
-        free &= free - 1
-    packed = _extract_bits(face.fixed_bits, ~face.free_mask & ((1 << n) - 1))
-    return FaceRank(n, k, combo * (1 << (n - k)) + packed)
-
-
-def _colex_unrank_mask(rank: int, k: int, n: int) -> int:
-    mask = 0
-    c = n - 1
-    for j in range(k, 0, -1):
-        while comb(c, j) > rank:
-            c -= 1
-        rank -= comb(c, j)
-        mask |= 1 << c
-        c -= 1
-    return mask
-
-
-def face_unrank(rank: FaceRank) -> Face:
-    """Inverse of face_rank."""
-    n, k = rank.n, rank.k
-    combo, packed = divmod(rank.index, 1 << (n - k))
-    free = _colex_unrank_mask(combo, k, n)
-    fixed = _deposit_bits(packed, ~free & ((1 << n) - 1))
-    return Face(n, free, fixed)
-
-
 @lru_cache(maxsize=None)
 def enumerate_faces(n: int, k: int) -> tuple[Face, ...]:
-    """All k-cells of Q_n in rank order."""
+    """All k-cells of Q_n in face order."""
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} outside [0, {n}]")
     full = (1 << n) - 1
@@ -265,6 +185,11 @@ def enumerate_faces(n: int, k: int) -> tuple[Face, ...]:
     faces = []
     for free in masks:
         rest = ~free & full
-        for packed in range(1 << (n - k)):
-            faces.append(Face(n, free, _deposit_bits(packed, rest)))
+        # The subsets of the pinned coordinates, in increasing order.
+        fixed = 0
+        while True:
+            faces.append(Face(n, free, fixed))
+            if fixed == rest:
+                break
+            fixed = (fixed - rest) & rest
     return tuple(faces)

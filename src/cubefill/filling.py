@@ -20,15 +20,19 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
 
 * ``exact_fill`` is a branch-and-bound search for a minimum-weight
   filling, seeded with the linear filling and pruned by the admissible
-  bound ceil(residual / (2(k+1))).  It searches on faces coded as ints,
-  so its residual is a frozenset of codes and its pivot a plain ``min``.
+  bound ceil(residual / (2(k+1))).
 
-The linear and recursive engines work in the input's own coordinates.  A
-subproblem is a cycle inside the cell of its live coordinates: a facet or
-a support subcube of Q_n is itself a cell of Q_n, so a cut pins one live
-coordinate in place instead of renumbering into a smaller cube.  Each
-level chooses its cut from per-coordinate counts of the faces pinned to 1,
-pinned to 0 and crossing, and rebuilds faces only along that coordinate.
+All three engines work on faces coded as ints, ``free_mask << n |
+fixed_bits``, in the input's own Q_n; within one degree the integer order
+of the codes is face order.  ``Face`` and ``Chain`` objects are built only
+on the way into and out of the public functions.
+
+A subproblem of the linear and recursive engines is a cycle inside the
+cell of its live coordinates: a facet or a support subcube of Q_n is
+itself a cell of Q_n, so a cut pins one live coordinate in place instead
+of renumbering into a smaller cube.  Each level chooses its cut from
+per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing,
+and rebuilds faces only along that coordinate.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -40,6 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from .chains import Chain
 from .constants import c_constant, constants_for
@@ -111,84 +116,102 @@ def _bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def _top_cell_fill(z: Chain, live: int) -> Chain:
+def _codes(z: Chain) -> frozenset[int]:
+    return frozenset(face.free_mask << z.n | face.fixed_bits for face in z.support)
+
+
+def _face(code: int, n: int) -> Face:
+    return Face(n, code >> n, code & ((1 << n) - 1))
+
+
+def _chain(n: int, k: int, codes: Iterable[int]) -> Chain:
+    return Chain(n, k, frozenset(_face(code, n) for code in codes))
+
+
+def _boundary(code: int, n: int) -> frozenset[int]:
+    """The 2k codes one dimension down, one per way of pinning a free coordinate."""
+    return frozenset(code ^ bit << n | value for bit in _bits(code >> n) for value in (0, bit))
+
+
+def _top_cell_fill(z: frozenset[int], n: int, live: int) -> frozenset[int]:
     # In a (k+1)-cell the only nonempty k-cycle is the boundary of the cell.
-    cell = Face(z.n, live, next(iter(z.support)).fixed_bits & ~live)
-    if z.support == cell.boundary():
-        return Chain(z.n, z.k + 1, frozenset((cell,)))
+    cell = live << n | next(iter(z)) & ~live & ((1 << n) - 1)
+    if z == _boundary(cell, n):
+        return frozenset((cell,))
     raise ValueError("chain is not a cycle")
 
 
-def _fill_zero_cycle(z: Chain) -> Chain:
+def _fill_zero_cycle(z: frozenset[int], n: int) -> frozenset[int]:
     """Pair up vertices and connect each pair by a monotone edge path."""
-    vertices = z.sorted_faces()
-    if len(vertices) % 2:
+    if len(z) % 2:
         raise ValueError("a vertex chain of odd size has no filling")
-    edges: set[Face] = set()
-    for a, b in zip(vertices[0::2], vertices[1::2]):
-        current = a.fixed_bits
-        for bit in _bits(current ^ b.fixed_bits):
-            edges ^= {Face(z.n, bit, current & ~bit)}
+    vertices = sorted(z)
+    edges: set[int] = set()
+    for current, target in zip(vertices[0::2], vertices[1::2]):
+        for bit in _bits(current ^ target):
+            edges ^= {bit << n | current & ~bit}
             current ^= bit
-    return Chain(z.n, 1, frozenset(edges))
+    return frozenset(edges)
 
 
-def _split(z: Chain, bit: int) -> tuple[list[Face], list[Face], list[Face]]:
-    """The faces of z pinned to 0, pinned to 1, and free at the coordinate ``bit``."""
-    sides: tuple[list[Face], list[Face], list[Face]] = ([], [], [])
-    for face in z.support:
-        sides[2 if face.free_mask & bit else 1 if face.fixed_bits & bit else 0].append(face)
+def _split(z: Iterable[int], n: int, bit: int) -> tuple[list[int], list[int], list[int]]:
+    """The codes of z pinned to 0, pinned to 1, and free at the coordinate ``bit``."""
+    free = bit << n
+    sides: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for code in z:
+        sides[2 if code & free else 1 if code & bit else 0].append(code)
     return sides
 
 
-def _slice_counts(z: Chain, live: int) -> list[tuple[int, int, int, int]]:
+def _slice_counts(z: frozenset[int], n: int, live: int) -> list[tuple[int, int, int, int]]:
     """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing."""
     counts = []
     for bit in _bits(live):
-        zeros, ones, crossing = map(len, _split(z, bit))
+        zeros, ones, crossing = map(len, _split(z, n, bit))
         counts.append((bit, ones, zeros, crossing))
     return counts
 
 
-def _pin(faces: Iterable[Face], bit: int, value: int | None) -> frozenset[Face]:
-    """The faces with the coordinate ``bit`` pinned to ``value``, or freed when it is None."""
-    free = bit if value is None else 0
-    fixed = bit if value == 1 else 0
-    return frozenset(
-        Face(f.n, f.free_mask & ~bit | free, f.fixed_bits & ~bit | fixed) for f in faces
-    )
+def _pin(codes: Iterable[int], n: int, bit: int, value: int | None) -> frozenset[int]:
+    """The codes with the coordinate ``bit`` pinned to ``value``, or freed when it is None."""
+    keep = ~(bit << n | bit)
+    put = bit << n if value is None else bit if value == 1 else 0
+    return frozenset(code & keep | put for code in codes)
 
 
-def _cut(z: Chain, bit: int, plus_value: int) -> tuple[Chain, Chain]:
+def _cut(
+    z: frozenset[int], n: int, bit: int, plus_value: int
+) -> tuple[frozenset[int], frozenset[int]]:
     """Push the faces of z pinned to ``plus_value`` across the coordinate ``bit``.
 
     Returns the rest, a cycle in the facet pinned to the other value, and the
     pushed (k+1)-chain: a filling of the rest plus the pushed chain fills z.
     """
-    sides = _split(z, bit)
+    sides = _split(z, n, bit)
     plus = sides[plus_value]
-    rest = _pin(plus, bit, 1 - plus_value) ^ frozenset(sides[1 - plus_value])
-    return Chain(z.n, z.k, rest), Chain(z.n, z.k + 1, _pin(plus, bit, None))
+    rest = _pin(plus, n, bit, 1 - plus_value) ^ frozenset(sides[1 - plus_value])
+    return rest, _pin(plus, n, bit, None)
 
 
-def _linear_fill_chain(z: Chain, live: int) -> Chain:
-    if not z.support:
-        return Chain(z.n, z.k + 1)
-    if z.k == 0:
-        return _fill_zero_cycle(z)
-    n, k = live.bit_count(), z.k
-    if n == k + 1:
-        return _top_cell_fill(z, live)
-    # The cut minimizing the exact inductive cost
-    # pushed + (n-k-1)/(2(k+1)) * (ones + zeros), scaled by 2(k+1) to stay in
-    # integers.  Ties go to the lowest coordinate, then plus = 1.
+def _linear_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int]:
+    if not z:
+        return frozenset()
+    k = (next(iter(z)) >> n).bit_count()
+    if k == 0:
+        return _fill_zero_cycle(z, n)
+    d = live.bit_count()
+    if d == k + 1:
+        return _top_cell_fill(z, n, live)
+    # The cut minimizing the exact inductive cost in the d-dimensional live
+    # cell, pushed + (d-k-1)/(2(k+1)) * (ones + zeros), scaled by 2(k+1) to
+    # stay in integers.  Ties go to the lowest coordinate, then plus = 1.
     _, bit, flip = min(
-        (2 * (k + 1) * pushed + (n - k - 1) * (ones + zeros), bit, flip)
-        for bit, ones, zeros, _ in _slice_counts(z, live)
+        (2 * (k + 1) * pushed + (d - k - 1) * (ones + zeros), bit, flip)
+        for bit, ones, zeros, _ in _slice_counts(z, n, live)
         for flip, pushed in ((0, ones), (1, zeros))
     )
-    rest, pushed = _cut(z, bit, 1 - flip)
-    return _linear_fill_chain(rest, live & ~bit) + pushed
+    rest, pushed = _cut(z, n, bit, 1 - flip)
+    return _linear_fill_chain(rest, n, live & ~bit) ^ pushed
 
 
 def linear_fill(z: Chain) -> FillResult:
@@ -196,37 +219,50 @@ def linear_fill(z: Chain) -> FillResult:
     _require_cycle(z)
     if z.support and z.n < z.k + 1:
         raise ValueError("no fillings exist above the top degree")
-    certificate = (
-        fill_bound_linear(z.n, z.k, z.norm) if z.support else Fraction(0)
-    )
-    return FillResult(_linear_fill_chain(z, (1 << z.n) - 1), "linear", certificate)
+    certificate = fill_bound_linear(z.n, z.k, z.norm) if z.support else Fraction(0)
+    filling = _linear_fill_chain(_codes(z), z.n, (1 << z.n) - 1)
+    return FillResult(_chain(z.n, z.k + 1, filling), "linear", certificate)
 
 
-def connected_components(z: Chain) -> list[Chain]:
-    """Partition the support into classes linked by shared (k-1)-faces."""
-    if not z.support:
-        return []
-    by_boundary: dict[Face, list[Face]] = {}
-    for face in z.support:
-        for g in face.boundary():
-            by_boundary.setdefault(g, []).append(face)
-    components: list[Chain] = []
-    seen: set[Face] = set()
-    for face in z.sorted_faces():
-        if face in seen:
+def _components(z: frozenset[int], n: int) -> list[frozenset[int]]:
+    by_boundary: dict[int, list[int]] = {}
+    for code in z:
+        for g in _boundary(code, n):
+            by_boundary.setdefault(g, []).append(code)
+    components: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for code in sorted(z):
+        if code in seen:
             continue
-        block = {face}
-        queue = [face]
+        block = {code}
+        queue = [code]
         while queue:
             current = queue.pop()
-            for g in current.boundary():
+            for g in _boundary(current, n):
                 for neighbour in by_boundary[g]:
                     if neighbour not in block:
                         block.add(neighbour)
                         queue.append(neighbour)
         seen |= block
-        components.append(Chain(z.n, z.k, frozenset(block)))
+        components.append(frozenset(block))
     return components
+
+
+def connected_components(z: Chain) -> list[Chain]:
+    """Partition the support into classes linked by shared (k-1)-faces."""
+    return [_chain(z.n, z.k, block) for block in _components(_codes(z), z.n)]
+
+
+def _support_cell(z: Iterable[int], n: int) -> int:
+    full = (1 << n) - 1
+    free_any = ones = zeros = 0
+    for code in z:
+        free, fixed = code >> n, code & full
+        free_any |= free
+        ones |= fixed
+        zeros |= ~(free | fixed)
+    active = free_any | ones & zeros
+    return active << n | ones & ~active
 
 
 def support_subcube(z: Chain) -> Face:
@@ -236,41 +272,33 @@ def support_subcube(z: Chain) -> Face:
     the support takes both pinned values there.  The empty chain gets the
     vertex 0...0.
     """
-    free_any = 0
-    ones = 0
-    zeros = 0
-    for face in z.support:
-        free_any |= face.free_mask
-        ones |= face.fixed_bits
-        zeros |= ~(face.free_mask | face.fixed_bits)
-    active = free_any | ones & zeros
-    return Face(z.n, active, ones & ~active)
+    return _face(_support_cell(_codes(z), z.n), z.n)
 
 
-def _recursive_fill_chain(z: Chain, live: int) -> Chain:
-    k = z.k
-    if not z.support:
-        return Chain(z.n, k + 1)
+def _recursive_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int]:
+    if not z:
+        return frozenset()
+    k = (next(iter(z)) >> n).bit_count()
     if live.bit_count() == k + 1:
-        return _top_cell_fill(z, live)
+        return _top_cell_fill(z, n, live)
     if k == 1:
         # A connected 1-cycle of norm 2m fits in an m-dimensional cell, where
         # the linear certificate is already quadratic in the norm.
-        parts = Chain(z.n, 2)
-        for component in connected_components(z):
-            parts = parts + _linear_fill_chain(component, support_subcube(component).free_mask)
+        parts: frozenset[int] = frozenset()
+        for component in _components(z, n):
+            parts ^= _linear_fill_chain(component, n, _support_cell(component, n) >> n)
         return parts
 
     # Coordinates nothing crosses, with everything on one side: drop them
     # from the live cell before any case analysis.
-    cell = support_subcube(z)
-    if cell.free_mask != live:
-        return _recursive_fill_chain(z, cell.free_mask)
+    cell = _support_cell(z, n) >> n
+    if cell != live:
+        return _recursive_fill_chain(z, n, cell)
 
     consts = constants_for(k)
-    threshold = consts.epsilon * float(z.norm) ** ((k - 1) / k)
+    threshold = consts.epsilon * float(len(z)) ** ((k - 1) / k)
     candidates: list[tuple[int, int, int, int, int]] = []
-    for bit, ones, zeros, crossing in _slice_counts(z, live):
+    for bit, ones, zeros, crossing in _slice_counts(z, n, live):
         if crossing >= threshold:
             continue
         cheap = min(ones, zeros) <= consts.delta * float(crossing) ** (k / (k - 1))
@@ -279,22 +307,22 @@ def _recursive_fill_chain(z: Chain, live: int) -> Chain:
     if not candidates:
         # Every slice crosses a lot, so the cycle is large and the linear
         # certificate fits under the power certificate.
-        return _linear_fill_chain(z, live)
+        return _linear_fill_chain(z, n, live)
 
     _, cheap_tag, bit, ones, zeros = min(candidates)
     inner = live & ~bit
     if cheap_tag == 0:
         # Case 1: push the smaller side across the slice.
-        rest, pushed = _cut(z, bit, 1 if ones <= zeros else 0)
-        return _recursive_fill_chain(rest, inner) + pushed
+        rest, pushed = _cut(z, n, bit, 1 if ones <= zeros else 0)
+        return _recursive_fill_chain(rest, n, inner) ^ pushed
 
     # Case 2: fill the crossing one degree down in the 0 facet, cap it with
     # its prism, and fill the two corrected sides separately in their facets.
-    zero_side, one_side, crossing = _split(z, bit)
-    w0 = _recursive_fill_chain(Chain(z.n, k - 1, _pin(crossing, bit, 0)), inner).support
-    plus_part = _recursive_fill_chain(Chain(z.n, k, frozenset(one_side) ^ _pin(w0, bit, 1)), inner)
-    minus_part = _recursive_fill_chain(Chain(z.n, k, frozenset(zero_side) ^ w0), inner)
-    return Chain(z.n, k + 1, _pin(w0, bit, None)) + plus_part + minus_part
+    zero_side, one_side, crossing = _split(z, n, bit)
+    w0 = _recursive_fill_chain(_pin(crossing, n, bit, 0), n, inner)
+    plus_part = _recursive_fill_chain(frozenset(one_side) ^ _pin(w0, n, bit, 1), n, inner)
+    minus_part = _recursive_fill_chain(frozenset(zero_side) ^ w0, n, inner)
+    return _pin(w0, n, bit, None) ^ plus_part ^ minus_part
 
 
 def recursive_fill(z: Chain) -> FillResult:
@@ -305,7 +333,8 @@ def recursive_fill(z: Chain) -> FillResult:
     if z.support and z.n < z.k + 1:
         raise ValueError("no fillings exist above the top degree")
     certificate = fill_bound_power(z.k, z.norm) if z.support else 0.0
-    return FillResult(_recursive_fill_chain(z, (1 << z.n) - 1), "recursive", certificate)
+    filling = _recursive_fill_chain(_codes(z), z.n, (1 << z.n) - 1)
+    return FillResult(_chain(z.n, z.k + 1, filling), "recursive", certificate)
 
 
 def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
@@ -318,11 +347,6 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     ceil(residual / (2(k+1))) cannot beat the best known filling (each cell
     clears at most 2(k+1) residual faces).
 
-    The search runs on faces coded as ints, ``free_mask << n | fixed_bits``:
-    within one degree their integer order is face order, so the residual is
-    a frozenset of codes and its minimum is the pivot.  Only the best filling
-    is turned back into faces.
-
     If the node budget runs out, the best filling found so far is returned
     with ``optimal`` False.  Node counts are deterministic.
     """
@@ -332,71 +356,60 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     if not z.support:
         return FillResult(Chain(z.n, z.k + 1), "exact", 0, optimal=True)
 
-    seed = _linear_fill_chain(z, (1 << z.n) - 1)
-    best = seed
-    best_weight = seed.norm
-    denominator = 2 * (z.k + 1)
-    floor_weight = -(-z.norm // denominator)
-    if best_weight <= floor_weight:
-        # The seed already meets the global lower bound.
-        return FillResult(best, "exact", best_weight, optimal=True)
-
     n = z.n
     full = (1 << n) - 1
-    boundary_cache: dict[int, frozenset[int]] = {}
+    codes = _codes(z)
+    best_cells = _linear_fill_chain(codes, n, full)
+    best_weight = len(best_cells)
+    denominator = 2 * (z.k + 1)
+    if best_weight <= -(-z.norm // denominator):
+        # The seed already meets the global lower bound.
+        return FillResult(_chain(n, z.k + 1, best_cells), "exact", best_weight, optimal=True)
 
-    def cell_boundary(cell: int) -> frozenset[int]:
-        cached = boundary_cache.get(cell)
-        if cached is None:
-            free, fixed = cell >> n, cell & full
-            cached = boundary_cache[cell] = frozenset(
-                (free ^ bit) << n | fixed | value for bit in _bits(free) for value in (0, bit)
-            )
-        return cached
-
+    cell_boundary = cache(partial(_boundary, n=n))
+    residual = set(codes)
     chosen: set[int] = set()
     excluded: set[int] = set()
-    best_cells: frozenset[int] | None = None
     nodes = 0
     aborted = False
     # Depth-first with an explicit stack, so the depth is not capped by the
-    # interpreter.  Each frame holds a node's residual, its weight, the cells
-    # it branches on, and how many of them it has tried.
-    stack: list[tuple[frozenset[int], int, list[int], int]] = []
-    residual = frozenset(face.free_mask << n | face.fixed_bits for face in z.support)
-    weight = 0
+    # interpreter.  The one residual is updated in place: a cell's boundary
+    # goes in when the cell is chosen and out again when it is undone.  Each
+    # frame holds the cells a node branches on and how many it has tried.
+    stack: list[tuple[list[int], int]] = []
     while True:
         nodes += 1
         if nodes > node_budget:
             aborted = True
             break
+        weight = len(chosen)
         if not residual:
             if weight < best_weight:
                 best_weight = weight
                 best_cells = frozenset(chosen)
         elif weight + -(-len(residual) // denominator) < best_weight:
             pivot = min(residual)
-            free, fixed = pivot >> n, pivot & full
             # Freeing a higher coordinate gives a larger code, so the
             # coboundary comes out in face order.
-            coboundary = ((free | bit) << n | fixed & ~bit for bit in _bits(~free & full))
+            coboundary = (pivot & ~bit | bit << n for bit in _bits(~(pivot >> n) & full))
             options = [cell for cell in coboundary if cell not in chosen and cell not in excluded]
-            stack.append((residual, weight, options, 0))
+            stack.append((options, 0))
         # Back up to the deepest node with an untried cell and branch on it.
         while stack:
-            residual, weight, options, tried = stack.pop()
+            options, tried = stack.pop()
             if tried:
-                chosen.remove(options[tried - 1])
-                excluded.add(options[tried - 1])
+                cell = options[tried - 1]
+                chosen.remove(cell)
+                excluded.add(cell)
+                residual ^= cell_boundary(cell)
             if tried < len(options):
                 cell = options[tried]
-                stack.append((residual, weight, options, tried + 1))
+                stack.append((options, tried + 1))
                 chosen.add(cell)
-                residual, weight = residual ^ cell_boundary(cell), weight + 1
+                residual ^= cell_boundary(cell)
                 break
             excluded.difference_update(options)
         if not stack:
             break
-    if best_cells is not None:
-        best = Chain(n, z.k + 1, frozenset(Face(n, c >> n, c & full) for c in best_cells))
+    best = _chain(n, z.k + 1, best_cells)
     return FillResult(best, "exact", best_weight, optimal=not aborted, nodes_explored=nodes)

@@ -143,7 +143,11 @@ def sharpness_asymptote(k: int) -> float:
     """Limit of fill / norm^((k+1)/k) over the family as n grows."""
     if k < 1:
         raise ValueError(f"degree {k} must be at least 1")
-    return factorial(k) ** (1.0 / k) / (2.0 ** ((k + 1) / k) * (k + 1))
+    try:
+        root = factorial(k) ** (1.0 / k)
+    except OverflowError:
+        raise ValueError(f"degree {k} too large: {k}! does not fit in a float") from None
+    return root / (2.0 ** ((k + 1) / k) * (k + 1))
 
 
 def sharpness_table(k: int, n_values: Iterable[int]) -> list[SharpnessRow]:
@@ -157,6 +161,9 @@ def sharpness_table(k: int, n_values: Iterable[int]) -> list[SharpnessRow]:
             raise ValueError(f"need n > k, got n={n}, k={k}")
         norm = 2 * comb(n, k)
         fill = comb(n, k + 1)
-        ratio = fill / float(norm) ** ((k + 1) / k)
+        try:
+            ratio = fill / float(norm) ** ((k + 1) / k)
+        except OverflowError:
+            raise ValueError(f"n={n} too large: its norm and fill do not fit in a float") from None
         rows.append(SharpnessRow(n, norm, fill, ratio, asymptote, ratio / asymptote))
     return rows

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cubefill import (
     Chain,
-    boundary_matrix,
     enumerate_faces,
     format_chain_text,
     random_cycle,
@@ -219,36 +218,3 @@ class TestRandomCycle:
     def test_degree_range(self):
         with pytest.raises(ValueError):
             random_cycle(3, 3, 0.5, 0)
-
-
-class TestBoundaryMatrix:
-    def test_square_column(self):
-        m = boundary_matrix(2, 2)
-        assert m.shape == (4, 1)
-        assert m.column_support(0) == (0, 1, 2, 3)
-
-    def test_consecutive_product_vanishes(self):
-        m1 = boundary_matrix(3, 1)
-        m2 = boundary_matrix(3, 2)
-        assert all(column == 0 for column in m1.compose(m2))
-
-    def test_weights(self):
-        for k in range(1, 5):
-            m = boundary_matrix(5, k)
-            assert all(len(m.column_support(j)) == 2 * k for j in range(m.shape[1]))
-            assert all(w == 5 - k + 1 for w in m.row_weights())
-
-    @given(chains(max_n=5))
-    @settings(max_examples=60)
-    def test_apply_agrees_with_boundary(self, z):
-        if z.k < 1:
-            return
-        assert boundary_matrix(z.n, z.k).apply(z) == z.boundary()
-
-    def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            boundary_matrix(3, 0)
-        with pytest.raises(ValueError):
-            boundary_matrix(3, 4)
-        with pytest.raises(ValueError):
-            boundary_matrix(3, 1).apply(Chain(3, 2))

@@ -229,6 +229,15 @@ class TestSharpness:
         code, report = run_json(capsys, ["sharpness", "2", "--n-max", "2", "--json"])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "args", [["171", "--n-max", "172"], ["150", "--n-max", "8000"]], ids=["k171", "n8000"]
+    )
+    def test_values_beyond_a_float_are_invalid(self, capsys, args):
+        code, report = run_json(capsys, ["sharpness", *args, "--json"])
+        assert code == EXIT_INVALID
+        assert report["status"] == "invalid-input"
+        assert "fit in a float" in report["results"]["error"]
+
 
 class TestRandom:
     def test_byte_identical_across_processes(self, tmp_path):

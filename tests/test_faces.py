@@ -5,11 +5,8 @@ from hypothesis import given, strategies as st
 
 from cubefill import (
     Face,
-    FaceRank,
     enumerate_faces,
     face_count,
-    face_rank,
-    face_unrank,
     parse_face,
     render_face,
 )
@@ -136,34 +133,12 @@ class TestEnumerationAndRank:
             for k in range(n + 1):
                 assert len(enumerate_faces(n, k)) == face_count(n, k)
 
-    def test_first_face_has_index_zero(self):
-        first = enumerate_faces(2, 1)[0]
-        rank = face_rank(first)
-        assert rank.index == 0
-        assert face_unrank(rank) == first
-
-    def test_rank_is_the_enumeration_order(self):
+    def test_enumeration_is_in_face_order(self):
         for n in range(1, 6):
             for k in range(n + 1):
-                faces = enumerate_faces(n, k)
-                assert [face_rank(f).index for f in faces] == list(range(len(faces)))
-                for f in faces:
-                    assert face_unrank(face_rank(f)) == f
-
-    def test_rank_injective_over_edges_of_q3(self):
-        indices = {face_rank(f).index for f in enumerate_faces(3, 1)}
-        assert indices == set(range(12))
-
-    def test_unrank_out_of_range(self):
-        with pytest.raises(ValueError):
-            FaceRank(3, 1, face_count(3, 1))
-        with pytest.raises(ValueError):
-            FaceRank(3, 1, -1)
-
-    def test_sort_order_matches_rank_order(self):
-        faces = list(enumerate_faces(4, 2))
-        shuffled = sorted(faces, key=lambda f: (f.fixed_bits, f.free_mask))
-        assert sorted(shuffled) == faces
+                faces = list(enumerate_faces(n, k))
+                shuffled = sorted(faces, key=lambda f: (f.fixed_bits, f.free_mask))
+                assert sorted(shuffled) == faces
 
 
 class TestCoordinateSurgery:

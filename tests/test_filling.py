@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,20 @@ class TestExactFill:
         assert result.nodes_explored == 1101
         assert result.filling.boundary() == z
 
+    def test_deep_search_keeps_one_residual(self):
+        # a copy of the residual in each of the 1,100 frames of the first
+        # dive would hold ~140 MB; one residual updated in place stays small
+        z = random_cycle(10, 1, 0.08, seed=1)
+        tracemalloc.start()
+        try:
+            result = exact_fill(z, 1100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.nodes_explored == 1101
+        assert result.filling.norm == 1721
+        assert peak < 16 * 2**20
+
     def test_searches_cubes_of_the_full_width(self):
         # four live coordinates spread over Q_64, the rest pinned: face ranks
         # here run far past any machine word, so the search must not index by them
@@ -349,6 +364,11 @@ class TestComponents:
 
     def test_empty(self):
         assert connected_components(Chain(3, 1)) == []
+
+    def test_two_cycles_lifted_into_q48(self):
+        small = lift(HEXAGON, 48, 8)
+        large = lift(minimizer_cycle(4, 1), 48, 7)
+        assert sorted(connected_components(small + large), key=lambda c: c.norm) == [small, large]
 
 
 def inside(face, cell):

@@ -194,3 +194,10 @@ class TestSharpnessTable:
             sharpness_table(2, [2])
         with pytest.raises(ValueError):
             sharpness_asymptote(0)
+        # 171! and C(8000, 150) do not fit in a float
+        with pytest.raises(ValueError, match="171"):
+            sharpness_asymptote(171)
+        with pytest.raises(ValueError, match="171"):
+            sharpness_table(171, [172])
+        with pytest.raises(ValueError, match="n=8000"):
+            sharpness_table(150, [8000])
