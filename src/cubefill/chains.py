@@ -1,12 +1,18 @@
-"""Z2 chain algebra on cube cells: sums, boundaries, slicing."""
+"""Z2 chain algebra on cube cells: sums, boundaries, slicing.
+
+A chain keeps its support as a frozenset of int codes (see ``faces``), and
+every operation here works on the codes; sums are symmetric differences.
+``Face`` objects are built only when ``support`` or ``sorted_faces`` is read.
+"""
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
-from .faces import Face, enumerate_faces, MAX_COORDINATES, parse_face
+from .faces import (
+    MAX_COORDINATES, Face, _boundary, _degree_codes, _delete, _face, _insert, _parse_word, _split
+)
 
 __all__ = [
     "Chain",
@@ -14,60 +20,76 @@ __all__ = [
     "random_cycle",
 ]
 
-_INJECT_STATES = {"fixed-0": "0", "fixed-1": "1", "free": "*"}
+_INJECT_BITS = {"fixed-0": (0, 0), "fixed-1": (0, 1), "free": (1, 0)}  # (star, one) put in
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Chain:
     """A Z2 formal sum of k-cells of Q_n, identified with its support set.
 
-    The degree label of an empty chain is nominal; degree -1 marks the empty
-    boundary of a vertex chain.
+    ``Chain(n, k, faces)`` takes the support as Faces and keeps it as their
+    int ``codes``, which equality and hashing use.  The degree label of an
+    empty chain is nominal; degree -1 marks the empty boundary of a vertex chain.
     """
 
     n: int
     k: int
-    support: frozenset[Face] = frozenset()
+    codes: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support", frozenset(self.support))
-        if not 0 <= self.n <= MAX_COORDINATES:
-            raise ValueError(f"dimension {self.n} outside [0, {MAX_COORDINATES}]")
-        if self.support:
-            if not 0 <= self.k <= self.n:
-                raise ValueError(f"degree {self.k} outside [0, {self.n}]")
-            for face in self.support:
-                if face.n != self.n or face.dim != self.k:
-                    raise ValueError(
-                        f"face {face} does not live in degree {self.k} of Q_{self.n}"
-                    )
-        elif self.k < -1:
-            raise ValueError(f"degree {self.k} below -1")
+    def __init__(self, n: int, k: int, support: frozenset[Face] = frozenset()) -> None:
+        support = frozenset(support)
+        if not 0 <= n <= MAX_COORDINATES:
+            raise ValueError(f"dimension {n} outside [0, {MAX_COORDINATES}]")
+        if support and not 0 <= k <= n:
+            raise ValueError(f"degree {k} outside [0, {n}]")
+        if k < -1:
+            raise ValueError(f"degree {k} below -1")
+        for face in support:
+            if face.n != n or face.dim != k:
+                raise ValueError(f"face {face} does not live in degree {k} of Q_{n}")
+        self.__dict__.update(n=n, k=k, codes=frozenset(face.code for face in support))
+
+    @classmethod
+    def _of(cls, n: int, k: int, codes: frozenset[int]) -> Chain:
+        """The chain of codes already known to be k-cells of Q_n."""
+        chain = object.__new__(cls)
+        chain.__dict__.update(n=n, k=k, codes=codes)
+        return chain
 
     @classmethod
     def from_words(cls, *words: str, n: int | None = None, k: int | None = None) -> Chain:
         """Build a chain from face words; empty chains need explicit n and k."""
-        faces = [parse_face(w) for w in words]
-        if len(set(faces)) != len(faces):
+        codes = [_parse_word(w) for w in words]
+        if len(set(words)) != len(words):
             raise ValueError("duplicate face in support listing")
-        if faces:
-            got_n, got_k = faces[0].n, faces[0].dim
-            if n is not None and n != got_n:
-                raise ValueError(f"expected words of length {n}, got {got_n}")
-            if k is not None and k != got_k:
-                raise ValueError(f"expected degree {k}, got {got_k}")
-            n, k = got_n, got_k
-        elif n is None or k is None:
-            raise ValueError("an empty chain needs explicit n and k")
-        return cls(n, k, frozenset(faces))
+        if not words:
+            if n is None or k is None:
+                raise ValueError("an empty chain needs explicit n and k")
+            return cls(n, k)
+        got_n, got_k = len(words[0]), (codes[0] >> len(words[0])).bit_count()
+        if n is not None and n != got_n:
+            raise ValueError(f"expected words of length {n}, got {got_n}")
+        if k is not None and k != got_k:
+            raise ValueError(f"expected degree {k}, got {got_k}")
+        n, k = got_n, got_k
+        for word, code in zip(words, codes):
+            if len(word) != n or (code >> n).bit_count() != k:
+                raise ValueError(f"face {word} does not live in degree {k} of Q_{n}")
+        return cls._of(n, k, frozenset(codes))
+
+    @property
+    def support(self) -> frozenset[Face]:
+        """The support as Faces, built from the codes on each call."""
+        return frozenset(_face(code, self.n) for code in self.codes)
 
     @property
     def norm(self) -> int:
         """Hamming norm: the support size."""
-        return len(self.support)
+        return len(self.codes)
 
     def sorted_faces(self) -> list[Face]:
-        return sorted(self.support)
+        # Within one degree the integer order of the codes is face order.
+        return [_face(code, self.n) for code in sorted(self.codes)]
 
     def __add__(self, other: object) -> Chain:
         if not isinstance(other, Chain):
@@ -76,20 +98,17 @@ class Chain:
             raise ValueError(
                 f"chain mismatch: (n={self.n}, k={self.k}) vs (n={other.n}, k={other.k})"
             )
-        return Chain(self.n, self.k, self.support ^ other.support)
+        return Chain._of(self.n, self.k, self.codes ^ other.codes)
 
     def boundary(self) -> Chain:
         """Z2 sum of the face boundaries, one degree down."""
-        if self.k <= 0 or not self.support:
-            return Chain(self.n, max(self.k - 1, -1), frozenset())
-        counts: Counter[Face] = Counter()
-        for face in self.support:
-            counts.update(face.boundary())
-        odd = frozenset(g for g, c in counts.items() if c & 1)
-        return Chain(self.n, self.k - 1, odd)
+        odd: set[int] = set()
+        for code in self.codes:  # a vertex's boundary is empty
+            odd ^= _boundary(code, self.n)
+        return Chain._of(self.n, max(self.k - 1, -1), frozenset(odd))
 
     def is_cycle(self) -> bool:
-        return not self.boundary().support
+        return not self.boundary().codes
 
     def slice(self, coordinate: int, plus_value: int) -> SliceDecomposition:
         """Split along a 1-based coordinate into side parts and a crossing part.
@@ -102,24 +121,14 @@ class Chain:
             raise ValueError(f"coordinate {coordinate} outside [1, {self.n}]")
         if plus_value not in (0, 1):
             raise ValueError("plus_value must be 0 or 1")
-        bit = 1 << (coordinate - 1)
-        plus: list[Face] = []
-        minus: list[Face] = []
-        crossing: list[Face] = []
-        for face in self.support:
-            reduced = face.delete_coordinate(coordinate)
-            if face.free_mask & bit:
-                crossing.append(reduced)
-            elif bool(face.fixed_bits & bit) == bool(plus_value):
-                plus.append(reduced)
-            else:
-                minus.append(reduced)
+        n, k, pos = self.n, self.k, coordinate - 1
+        sides = [frozenset(_delete(c, n, pos) for c in s) for s in _split(self.codes, n, 1 << pos)]
         return SliceDecomposition(
             coordinate,
             plus_value,
-            Chain(self.n - 1, self.k, frozenset(plus)),
-            Chain(self.n - 1, self.k, frozenset(minus)),
-            Chain(self.n - 1, self.k - 1 if self.k > 0 else -1, frozenset(crossing)),
+            Chain._of(n - 1, k, sides[plus_value]),
+            Chain._of(n - 1, k, sides[1 - plus_value]),
+            Chain._of(n - 1, max(k - 1, -1), sides[2]),
         )
 
     def inject(self, coordinate: int, mode: str) -> Chain:
@@ -128,14 +137,15 @@ class Chain:
         ``mode`` is one of 'fixed-0', 'fixed-1', 'free'.  Free insertion
         raises the degree by one; the norm is always preserved.
         """
-        state = _INJECT_STATES.get(mode)
-        if state is None:
-            raise ValueError(f"mode must be one of {sorted(_INJECT_STATES)}, got {mode!r}")
+        bits = _INJECT_BITS.get(mode)
+        if bits is None:
+            raise ValueError(f"mode must be one of {sorted(_INJECT_BITS)}, got {mode!r}")
         if not 1 <= coordinate <= self.n + 1:
             raise ValueError(f"coordinate {coordinate} outside [1, {self.n + 1}]")
-        faces = frozenset(f.insert_coordinate(coordinate, state) for f in self.support)
-        k = self.k + 1 if mode == "free" else self.k
-        return Chain(self.n + 1, k, faces)
+        if self.n + 1 > MAX_COORDINATES:
+            raise ValueError(f"dimension {self.n + 1} outside [0, {MAX_COORDINATES}]")
+        codes = frozenset(_insert(code, self.n, coordinate - 1, *bits) for code in self.codes)
+        return Chain._of(self.n + 1, self.k + bits[0], codes)
 
     def prism(self, coordinate: int) -> Chain:
         """Free injection, named for its boundary identity:
@@ -178,5 +188,5 @@ def random_cycle(n: int, k: int, density: float, seed: int) -> Chain:
     if not 0 <= density <= 1:
         raise ValueError(f"density {density} outside [0, 1]")
     rng = random.Random(seed)
-    chosen = frozenset(f for f in enumerate_faces(n, k + 1) if rng.random() < density)
-    return Chain(n, k + 1, chosen).boundary()
+    chosen = frozenset(code for code in _degree_codes(n, k + 1) if rng.random() < density)
+    return Chain._of(n, k + 1, chosen).boundary()

@@ -131,11 +131,6 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         z = read_chain(args.path)
     except ChainFormatError as exc:
         return _invalid("fill", inputs, str(exc), args.json)
-    boundary = z.boundary()
-    if boundary.support:
-        extra = {"n": z.n, "k": z.k, "input_norm": z.norm}
-        extra.update(_listed_boundary(boundary))
-        return _invalid("fill", inputs, "input chain is not a cycle", args.json, extra)
     try:
         if args.strategy == "linear":
             result = linear_fill(z)
@@ -144,6 +139,13 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         else:
             result = exact_fill(z, args.budget)
     except ValueError as exc:
+        # The engines check the input; only a refused one pays for listing
+        # its boundary.
+        boundary = z.boundary()
+        if boundary.codes:
+            extra = {"n": z.n, "k": z.k, "input_norm": z.norm}
+            extra.update(_listed_boundary(boundary))
+            return _invalid("fill", inputs, "input chain is not a cycle", args.json, extra)
         return _invalid("fill", inputs, str(exc), args.json)
     out_path = f"{args.path}.fill"
     write_chain(result.filling, out_path)
@@ -174,11 +176,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "n": z.n,
         "k": z.k,
         "norm": z.norm,
-        "cycle": not boundary.support,
+        "cycle": not boundary.codes,
         "components": len(connected_components(z)),
         "support_active_coordinates": support_subcube(z).dim,
     }
-    if boundary.support:
+    if boundary.codes:
         results.update(_listed_boundary(boundary))
     _emit(_report("verify", inputs, results), args.json)
     return EXIT_OK

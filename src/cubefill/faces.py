@@ -2,14 +2,16 @@
 
 A k-dimensional cell of Q_n is a length-n word over {0, 1, *} with exactly
 k stars: starred coordinates are free, the others are pinned to the written
-bit.  Cells are stored as a pair of bit masks, which keeps equality,
-hashing, incidence and ordering cheap.  Coordinates are 1-based in words and
-messages, 0-based inside the masks.
+bit.  Inside the library a cell is one int, its code ``free_mask << n |
+fixed_bits``; within one degree the integer order of the codes is face
+order.  ``Face`` is the public view of one code.  Coordinates are 1-based
+in words and messages, 0-based inside the masks.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import comb
@@ -26,19 +28,94 @@ __all__ = [
 # Masks must fit in a machine word; desk-scale work never gets close.
 MAX_COORDINATES = 64
 
+# A word read from the last coordinate to the first, as binary digits:
+# those of free_mask followed by those of fixed_bits spell the code.
+_FREE_DIGITS = str.maketrans("01*", "001")
+_FIXED_DIGITS = str.maketrans("*", "0")
+_WORD_SYMBOLS = str.maketrans("", "", "01*")
 
-def _delete_bit(mask: int, pos: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    return low | (mask >> (pos + 1)) << pos
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        yield mask & -mask
+        mask &= mask - 1
 
 
-def _insert_bit(mask: int, pos: int, bit: int) -> int:
-    low = mask & ((1 << pos) - 1)
-    return low | (mask >> pos) << (pos + 1) | bit << pos
+def _boundary(code: int, n: int) -> frozenset[int]:
+    """The 2k codes one dimension down, one per way of pinning a free coordinate."""
+    cells, free = [], code >> n
+    while free:
+        bit = free & -free
+        cells += (code ^ bit << n, code ^ bit << n | bit)
+        free ^= bit
+    return frozenset(cells)
+
+
+def _coboundary(code: int, n: int) -> list[int]:
+    """The n-k codes one dimension up, one per way of freeing a pinned coordinate,
+    lowest first; freeing a higher coordinate gives a larger code."""
+    return [code & ~bit | bit << n for bit in _bits(~(code >> n) & ((1 << n) - 1))]
+
+
+def _split(z: Iterable[int], n: int, bit: int) -> tuple[list[int], list[int], list[int]]:
+    """The codes of z pinned to 0, pinned to 1, and free at the coordinate ``bit``."""
+    free = bit << n
+    sides: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for code in z:
+        sides[2 if code & free else 1 if code & bit else 0].append(code)
+    return sides
+
+
+def _face(code: int, n: int) -> Face:
+    """The Face of a code, which must be valid in Q_n."""
+    face = object.__new__(Face)
+    object.__setattr__(face, "n", n)
+    object.__setattr__(face, "free_mask", code >> n)
+    object.__setattr__(face, "fixed_bits", code & ((1 << n) - 1))
+    return face
+
+
+def _parse_word(word: str) -> int:
+    """The code of a word over {0, 1, *}, in Q_len(word)."""
+    if not word:
+        raise ValueError("empty face word")
+    if len(word) > MAX_COORDINATES:
+        raise ValueError(f"face word longer than {MAX_COORDINATES} coordinates")
+    if word.translate(_WORD_SYMBOLS):
+        i, ch = next((i, ch) for i, ch in enumerate(word) if ch not in "01*")
+        raise ValueError(f"invalid character {ch!r} at position {i + 1}")
+    digits = word[::-1]
+    return int(digits.translate(_FREE_DIGITS) + digits.translate(_FIXED_DIGITS), 2)
+
+
+def _word(code: int, n: int) -> str:
+    """Inverse of _parse_word."""
+    # the digits of fixed_bits, coordinate 1 first, then a star on each free one
+    word = list(bin(code & ((1 << n) - 1) | 1 << n)[:2:-1])
+    for bit in _bits(code >> n):
+        word[bit.bit_length() - 1] = "*"
+    return "".join(word)
+
+
+def _delete(code: int, n: int, pos: int) -> int:
+    """The code in Q_{n-1} of a cell of Q_n with the coordinate ``pos`` dropped."""
+    low = (1 << pos) - 1
+    free, fixed = code >> n, code & ((1 << n) - 1)
+    return (free & low | free >> 1 & ~low) << (n - 1) | fixed & low | fixed >> 1 & ~low
+
+
+def _insert(code: int, n: int, pos: int, star: int, one: int) -> int:
+    """The code in Q_{n+1} of a cell of Q_n with a coordinate put in at ``pos``,
+    free if ``star``, else pinned to ``one``."""
+    low = (1 << pos) - 1
+    free, fixed = code >> n, code & ((1 << n) - 1)
+    free = free & low | (free & ~low) << 1 | star << pos
+    return free << (n + 1) | fixed & low | (fixed & ~low) << 1 | one << pos
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """One cell of Q_n.
 
@@ -65,46 +142,30 @@ class Face:
     def dim(self) -> int:
         return self.free_mask.bit_count()
 
+    @property
+    def code(self) -> int:
+        """The int ``free_mask << n | fixed_bits`` the library works on."""
+        return self.free_mask << self.n | self.fixed_bits
+
     def value_at(self, coordinate: int) -> str:
         """The symbol at a 1-based coordinate: '0', '1' or '*'."""
         if not 1 <= coordinate <= self.n:
             raise ValueError(f"coordinate {coordinate} outside [1, {self.n}]")
-        bit = 1 << (coordinate - 1)
-        if self.free_mask & bit:
-            return "*"
-        return "1" if self.fixed_bits & bit else "0"
+        return _word(self.code, self.n)[coordinate - 1]
 
     def boundary(self) -> frozenset[Face]:
         """The 2k cells one dimension down, one per way of pinning a star."""
-        faces = []
-        free = self.free_mask
-        while free:
-            bit = free & -free
-            faces.append(Face(self.n, self.free_mask ^ bit, self.fixed_bits))
-            faces.append(Face(self.n, self.free_mask ^ bit, self.fixed_bits | bit))
-            free &= free - 1
-        return frozenset(faces)
+        return frozenset(_face(code, self.n) for code in _boundary(self.code, self.n))
 
     def coboundary(self) -> frozenset[Face]:
         """The n-k cells one dimension up, one per way of freeing a coordinate."""
-        faces = []
-        pinned = ~self.free_mask & ((1 << self.n) - 1)
-        while pinned:
-            bit = pinned & -pinned
-            faces.append(Face(self.n, self.free_mask | bit, self.fixed_bits & ~bit))
-            pinned &= pinned - 1
-        return frozenset(faces)
+        return frozenset(_face(code, self.n) for code in _coboundary(self.code, self.n))
 
     def delete_coordinate(self, coordinate: int) -> Face:
         """Drop a 1-based coordinate, renumbering the ones above it down."""
         if not 1 <= coordinate <= self.n:
             raise ValueError(f"coordinate {coordinate} outside [1, {self.n}]")
-        pos = coordinate - 1
-        return Face(
-            self.n - 1,
-            _delete_bit(self.free_mask, pos),
-            _delete_bit(self.fixed_bits, pos),
-        )
+        return _face(_delete(self.code, self.n, coordinate - 1), self.n - 1)
 
     def insert_coordinate(self, coordinate: int, state: str) -> Face:
         """Insert a coordinate at a 1-based position as '0', '1' or '*'."""
@@ -112,22 +173,14 @@ class Face:
             raise ValueError(f"coordinate {coordinate} outside [1, {self.n + 1}]")
         if state not in ("0", "1", "*"):
             raise ValueError(f"state must be '0', '1' or '*', got {state!r}")
-        pos = coordinate - 1
-        return Face(
-            self.n + 1,
-            _insert_bit(self.free_mask, pos, 1 if state == "*" else 0),
-            _insert_bit(self.fixed_bits, pos, 1 if state == "1" else 0),
-        )
-
-    def _order_key(self) -> tuple[int, int, int, int]:
-        # Face order: by degree, then colex on the free set (plain integer
-        # order of free_mask), then by fixed_bits.
-        return (self.n, self.dim, self.free_mask, self.fixed_bits)
+        code = _insert(self.code, self.n, coordinate - 1, state == "*", state == "1")
+        return Face(self.n + 1, *divmod(code, 1 << (self.n + 1)))
 
     def __lt__(self, other: object) -> bool:
+        # Face order: by degree, then by code (colex on the free set, then fixed bits).
         if not isinstance(other, Face):
             return NotImplemented
-        return self._order_key() < other._order_key()
+        return (self.n, self.dim, self.code) < (other.n, other.dim, other.code)
 
     def __str__(self) -> str:
         return render_face(self)
@@ -138,32 +191,12 @@ class Face:
 
 def parse_face(word: str) -> Face:
     """Build a Face from a word over {0, 1, *}."""
-    if not word:
-        raise ValueError("empty face word")
-    if len(word) > MAX_COORDINATES:
-        raise ValueError(f"face word longer than {MAX_COORDINATES} coordinates")
-    free = 0
-    fixed = 0
-    for i, ch in enumerate(word):
-        if ch == "*":
-            free |= 1 << i
-        elif ch == "1":
-            fixed |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid character {ch!r} at position {i + 1}")
-    return Face(len(word), free, fixed)
+    return _face(_parse_word(word), len(word))
 
 
 def render_face(face: Face) -> str:
     """Inverse of parse_face."""
-    out = []
-    for i in range(face.n):
-        bit = 1 << i
-        if face.free_mask & bit:
-            out.append("*")
-        else:
-            out.append("1" if face.fixed_bits & bit else "0")
-    return "".join(out)
+    return _word(face.code, face.n)
 
 
 def face_count(n: int, k: int) -> int:
@@ -173,23 +206,26 @@ def face_count(n: int, k: int) -> int:
     return (1 << (n - k)) * comb(n, k)
 
 
-@lru_cache(maxsize=None)
-def enumerate_faces(n: int, k: int) -> tuple[Face, ...]:
-    """All k-cells of Q_n in face order."""
-    if not 0 <= k <= n:
-        raise ValueError(f"degree {k} outside [0, {n}]")
+def _degree_codes(n: int, k: int) -> Iterator[int]:
+    """The codes of all k-cells of Q_n, in face order (increasing)."""
     full = (1 << n) - 1
     masks = sorted(
         sum(1 << i for i in combo) for combo in itertools.combinations(range(n), k)
     )
-    faces = []
     for free in masks:
         rest = ~free & full
         # The subsets of the pinned coordinates, in increasing order.
         fixed = 0
         while True:
-            faces.append(Face(n, free, fixed))
+            yield free << n | fixed
             if fixed == rest:
                 break
             fixed = (fixed - rest) & rest
-    return tuple(faces)
+
+
+@lru_cache(maxsize=None)
+def enumerate_faces(n: int, k: int) -> tuple[Face, ...]:
+    """All k-cells of Q_n in face order."""
+    if not 0 <= k <= n:
+        raise ValueError(f"degree {k} outside [0, {n}]")
+    return tuple(_face(code, n) for code in _degree_codes(n, k))

@@ -22,10 +22,9 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
   filling, seeded with the linear filling and pruned by the admissible
   bound ceil(residual / (2(k+1))).
 
-All three engines work on faces coded as ints, ``free_mask << n |
-fixed_bits``, in the input's own Q_n; within one degree the integer order
-of the codes is face order.  ``Face`` and ``Chain`` objects are built only
-on the way into and out of the public functions.
+All three engines work on the int codes a ``Chain`` keeps, ``free_mask
+<< n | fixed_bits``, in the input's own Q_n: the input's codes go in, the
+filling's codes come out as a ``Chain``, and no ``Face`` is built.
 
 A subproblem of the linear and recursive engines is a cycle inside the
 cell of its live coordinates: a facet or a support subcube of Q_n is
@@ -41,14 +40,14 @@ certificate n/2 * norm(z) still holds for the pairing.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
 from .chains import Chain
 from .constants import c_constant, constants_for
-from .faces import Face
+from .faces import Face, _bits, _boundary, _coboundary, _face, _split, _word
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -83,12 +82,10 @@ class FillResult:
 
 
 def _require_cycle(z: Chain) -> None:
-    boundary = z.boundary()
-    if boundary.support:
-        sample = ", ".join(str(f) for f in boundary.sorted_faces()[:6])
-        raise ValueError(
-            f"chain is not a cycle: boundary has {boundary.norm} faces ({sample})"
-        )
+    boundary = sorted(z.boundary().codes)
+    if boundary:
+        sample = ", ".join(_word(code, z.n) for code in boundary[:6])
+        raise ValueError(f"chain is not a cycle: boundary has {len(boundary)} faces ({sample})")
 
 
 def fill_bound_linear(n: int, k: int, norm: int) -> Fraction:
@@ -107,30 +104,6 @@ def fill_bound_power(k: int, norm: int) -> float:
     if norm < 0:
         raise ValueError("norm must be nonnegative")
     return c_constant(k) * float(norm) ** ((k + 1) / k)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, lowest first."""
-    while mask:
-        yield mask & -mask
-        mask &= mask - 1
-
-
-def _codes(z: Chain) -> frozenset[int]:
-    return frozenset(face.free_mask << z.n | face.fixed_bits for face in z.support)
-
-
-def _face(code: int, n: int) -> Face:
-    return Face(n, code >> n, code & ((1 << n) - 1))
-
-
-def _chain(n: int, k: int, codes: Iterable[int]) -> Chain:
-    return Chain(n, k, frozenset(_face(code, n) for code in codes))
-
-
-def _boundary(code: int, n: int) -> frozenset[int]:
-    """The 2k codes one dimension down, one per way of pinning a free coordinate."""
-    return frozenset(code ^ bit << n | value for bit in _bits(code >> n) for value in (0, bit))
 
 
 def _top_cell_fill(z: frozenset[int], n: int, live: int) -> frozenset[int]:
@@ -152,15 +125,6 @@ def _fill_zero_cycle(z: frozenset[int], n: int) -> frozenset[int]:
             edges ^= {bit << n | current & ~bit}
             current ^= bit
     return frozenset(edges)
-
-
-def _split(z: Iterable[int], n: int, bit: int) -> tuple[list[int], list[int], list[int]]:
-    """The codes of z pinned to 0, pinned to 1, and free at the coordinate ``bit``."""
-    free = bit << n
-    sides: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for code in z:
-        sides[2 if code & free else 1 if code & bit else 0].append(code)
-    return sides
 
 
 def _slice_counts(z: frozenset[int], n: int, live: int) -> list[tuple[int, int, int, int]]:
@@ -217,11 +181,11 @@ def _linear_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int]:
 def linear_fill(z: Chain) -> FillResult:
     """Fill a cycle within the certificate (n-k)/(2(k+1)) * norm(z)."""
     _require_cycle(z)
-    if z.support and z.n < z.k + 1:
+    if z.codes and z.n < z.k + 1:
         raise ValueError("no fillings exist above the top degree")
-    certificate = fill_bound_linear(z.n, z.k, z.norm) if z.support else Fraction(0)
-    filling = _linear_fill_chain(_codes(z), z.n, (1 << z.n) - 1)
-    return FillResult(_chain(z.n, z.k + 1, filling), "linear", certificate)
+    certificate = fill_bound_linear(z.n, z.k, z.norm) if z.codes else Fraction(0)
+    filling = _linear_fill_chain(z.codes, z.n, (1 << z.n) - 1)
+    return FillResult(Chain._of(z.n, z.k + 1, filling), "linear", certificate)
 
 
 def _components(z: frozenset[int], n: int) -> list[frozenset[int]]:
@@ -250,7 +214,7 @@ def _components(z: frozenset[int], n: int) -> list[frozenset[int]]:
 
 def connected_components(z: Chain) -> list[Chain]:
     """Partition the support into classes linked by shared (k-1)-faces."""
-    return [_chain(z.n, z.k, block) for block in _components(_codes(z), z.n)]
+    return [Chain._of(z.n, z.k, block) for block in _components(z.codes, z.n)]
 
 
 def _support_cell(z: Iterable[int], n: int) -> int:
@@ -272,7 +236,7 @@ def support_subcube(z: Chain) -> Face:
     the support takes both pinned values there.  The empty chain gets the
     vertex 0...0.
     """
-    return _face(_support_cell(_codes(z), z.n), z.n)
+    return _face(_support_cell(z.codes, z.n), z.n)
 
 
 def _recursive_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int]:
@@ -328,13 +292,13 @@ def _recursive_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int
 def recursive_fill(z: Chain) -> FillResult:
     """Fill a cycle within the certificate c_k * norm(z)^((k+1)/k)."""
     _require_cycle(z)
-    if z.support and z.k < 1:
+    if z.codes and z.k < 1:
         raise ValueError("degree-0 cycles are outside the power-law regime; use linear_fill")
-    if z.support and z.n < z.k + 1:
+    if z.codes and z.n < z.k + 1:
         raise ValueError("no fillings exist above the top degree")
-    certificate = fill_bound_power(z.k, z.norm) if z.support else 0.0
-    filling = _recursive_fill_chain(_codes(z), z.n, (1 << z.n) - 1)
-    return FillResult(_chain(z.n, z.k + 1, filling), "recursive", certificate)
+    certificate = fill_bound_power(z.k, z.norm) if z.codes else 0.0
+    filling = _recursive_fill_chain(z.codes, z.n, (1 << z.n) - 1)
+    return FillResult(Chain._of(z.n, z.k + 1, filling), "recursive", certificate)
 
 
 def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
@@ -353,25 +317,22 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     if node_budget <= 0:
         raise ValueError("node budget must be positive")
     _require_cycle(z)
-    if not z.support:
-        return FillResult(Chain(z.n, z.k + 1), "exact", 0, optimal=True)
+    if not z.codes:
+        return FillResult(Chain._of(z.n, z.k + 1, frozenset()), "exact", 0, optimal=True)
 
     n = z.n
-    full = (1 << n) - 1
-    codes = _codes(z)
-    best_cells = _linear_fill_chain(codes, n, full)
+    best_cells = _linear_fill_chain(z.codes, n, (1 << n) - 1)
     best_weight = len(best_cells)
     denominator = 2 * (z.k + 1)
     if best_weight <= -(-z.norm // denominator):
         # The seed already meets the global lower bound.
-        return FillResult(_chain(n, z.k + 1, best_cells), "exact", best_weight, optimal=True)
+        return FillResult(Chain._of(n, z.k + 1, best_cells), "exact", best_weight, optimal=True)
 
     cell_boundary = cache(partial(_boundary, n=n))
-    residual = set(codes)
+    residual = set(z.codes)
     chosen: set[int] = set()
     excluded: set[int] = set()
     nodes = 0
-    aborted = False
     # Depth-first with an explicit stack, so the depth is not capped by the
     # interpreter.  The one residual is updated in place: a cell's boundary
     # goes in when the cell is chosen and out again when it is undone.  Each
@@ -380,7 +341,6 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     while True:
         nodes += 1
         if nodes > node_budget:
-            aborted = True
             break
         weight = len(chosen)
         if not residual:
@@ -388,11 +348,8 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
                 best_weight = weight
                 best_cells = frozenset(chosen)
         elif weight + -(-len(residual) // denominator) < best_weight:
-            pivot = min(residual)
-            # Freeing a higher coordinate gives a larger code, so the
-            # coboundary comes out in face order.
-            coboundary = (pivot & ~bit | bit << n for bit in _bits(~(pivot >> n) & full))
-            options = [cell for cell in coboundary if cell not in chosen and cell not in excluded]
+            cells = _coboundary(min(residual), n)
+            options = [cell for cell in cells if cell not in chosen and cell not in excluded]
             stack.append((options, 0))
         # Back up to the deepest node with an untried cell and branch on it.
         while stack:
@@ -411,5 +368,5 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
             excluded.difference_update(options)
         if not stack:
             break
-    best = _chain(n, z.k + 1, best_cells)
-    return FillResult(best, "exact", best_weight, optimal=not aborted, nodes_explored=nodes)
+    best = Chain._of(n, z.k + 1, best_cells)
+    return FillResult(best, "exact", best_weight, nodes <= node_budget, nodes)

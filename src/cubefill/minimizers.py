@@ -17,7 +17,7 @@ from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from .chains import Chain
-from .faces import Face
+from .faces import MAX_COORDINATES, Face
 from .filling import exact_fill, linear_fill
 
 __all__ = [
@@ -39,10 +39,10 @@ def minimizer_member(n: int, stars: tuple[int, ...], parity_seed: int) -> Face:
         raise ValueError("parity_seed must be 0 or 1")
     if not all(1 <= s <= n for s in stars) or len(set(stars)) != len(stars):
         raise ValueError(f"stars must be distinct coordinates in [1, {n}]")
-    return _block_face(n, tuple(s - 1 for s in stars), parity_seed)
+    return Face(n, *_block_masks(n, tuple(s - 1 for s in stars), parity_seed))
 
 
-def _block_face(n: int, stars: tuple[int, ...], leading: int) -> Face:
+def _block_masks(n: int, stars: tuple[int, ...], leading: int) -> tuple[int, int]:
     free = 0
     for position in stars:
         free |= 1 << position
@@ -53,7 +53,7 @@ def _block_face(n: int, stars: tuple[int, ...], leading: int) -> Face:
             passed += 1
         elif (leading ^ passed) & 1:
             fixed |= 1 << position
-    return Face(n, free, fixed)
+    return free, fixed
 
 
 @lru_cache(maxsize=None)
@@ -66,11 +66,14 @@ def _minimizer_chain(n: int, k: int) -> Chain:
     """
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
-    support: set[Face] = set()
+    if n > MAX_COORDINATES:
+        raise ValueError(f"dimension {n} outside [0, {MAX_COORDINATES}]")
+    codes: set[int] = set()
     for stars in itertools.combinations(range(n), k):
         for leading in (0, 1):
-            support ^= {_block_face(n, stars, leading)}
-    return Chain(n, k, frozenset(support))
+            free, fixed = _block_masks(n, stars, leading)
+            codes ^= {free << n | fixed}
+    return Chain._of(n, k, frozenset(codes))
 
 
 def minimizer_cycle(n: int, k: int) -> Chain:

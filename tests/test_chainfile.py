@@ -91,3 +91,12 @@ def test_header_above_max_coordinates_reports_line():
         parse_chain_text("# too big\ncube 100 1\n")
     assert info.value.line == 2
     assert "100" in str(info.value)
+
+
+def test_undecodable_file_reports_line(tmp_path):
+    path = tmp_path / "binary.chain"
+    path.write_bytes(b"cube 2 1\n*0\n\xff\xfe\n")
+    with pytest.raises(ChainFormatError) as info:
+        read_chain(path)
+    assert info.value.line == 3
+    assert "UTF-8" in str(info.value)

@@ -8,7 +8,12 @@ from cubefill import (
     Chain,
     enumerate_faces,
     format_chain_text,
+    linear_fill,
+    parse_chain_text,
+    parse_face,
     random_cycle,
+    read_chain,
+    write_chain,
 )
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
@@ -65,8 +70,50 @@ class TestAddition:
             Chain.from_words()
         assert Chain.from_words(n=4, k=2).norm == 0
 
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [
+            (100, 0, "dimension 100 outside"),
+            (-1, 0, "dimension -1 outside"),
+            (3, -5, "degree -5 below -1"),
+        ],
+    )
+    def test_empty_checks_its_dimensions(self, n, k, message):
+        with pytest.raises(ValueError, match=message):
+            Chain.from_words(n=n, k=k)
+        with pytest.raises(ValueError, match=message):
+            Chain(n, k)
+
+
+def reference_boundary(z):
+    """The boundary summed face by face with a Counter, each face's boundary
+    made by word surgery: a check on the code-level boundary that shares no
+    code with it."""
+    counts = Counter()
+    for face in z.support:
+        word = str(face)
+        for i in (i for i, ch in enumerate(word) if ch == "*"):
+            counts.update(parse_face(word[:i] + bit + word[i + 1 :]) for bit in "01")
+    return Chain(z.n, max(z.k - 1, -1), frozenset(g for g, c in counts.items() if c % 2))
+
 
 class TestBoundary:
+    @given(chains())
+    @settings(max_examples=200)
+    def test_matches_the_face_by_face_reference(self, z):
+        assert z.boundary() == reference_boundary(z)
+
+    @given(cycles())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_reference_on_cycles_and_broken_cycles(self, z):
+        assert reference_boundary(z).norm == 0 and z.boundary().norm == 0
+        broken = z + Chain(z.n, z.k, frozenset(z.sorted_faces()[::3]))
+        assert broken.boundary() == reference_boundary(broken)
+
+    def test_vertex_chain_reference_is_the_empty_degree_minus_one_chain(self):
+        z = Chain.from_words("010", "111")
+        assert z.boundary() == reference_boundary(z) == Chain(3, -1)
+
     def test_square(self):
         got = Chain.from_words("**").boundary()
         assert got == Chain.from_words("0*", "1*", "*0", "*1")
@@ -218,3 +265,18 @@ class TestRandomCycle:
     def test_degree_range(self):
         with pytest.raises(ValueError):
             random_cycle(3, 3, 0.5, 0)
+
+
+class TestOneRepresentation:
+    def test_faces_files_and_engines_give_equal_chains(self, tmp_path):
+        z = random_cycle(6, 2, 0.2, 3)
+        for chain in (z, linear_fill(z).filling):
+            text = format_chain_text(chain)
+            words = text.splitlines()[1:]
+            built = Chain(chain.n, chain.k, frozenset(parse_face(w) for w in words))
+            path = tmp_path / "z.chain"
+            write_chain(chain, path)
+            same = [built, Chain.from_words(*words), parse_chain_text(text), read_chain(path)]
+            assert all(other == chain for other in same)
+            assert {hash(other) for other in same} == {hash(chain)}
+            assert len({chain, *same}) == 1

@@ -191,6 +191,81 @@ def test_header_above_max_coordinates_is_invalid(tmp_path, capsys, command):
     assert "line 1" in report["results"]["error"]
 
 
+# The first 20 of the 28 boundary faces, in face order.
+NON_CYCLE_BOUNDARY = [
+    "*1000001", "*0001001", "*1011001", "*1011101", "0*000001", "1*000001", "0*100001",
+    "0*101001", "0*000101", "0*100101", "00*00001", "01*00101", "010*0001", "011*0001",
+    "010*1001", "011*0101", "0000*001", "1000*001", "0100*001", "0010*001",
+]
+
+
+@pytest.fixture
+def non_cycle_file(tmp_path):
+    # three components inside the 6-cell ******01 of Q_8, with 28 boundary faces
+    z = random_cycle(6, 2, 0.05, 4)
+    y = Chain(6, 2, z.support - set(z.sorted_faces()[::5]))
+    path = tmp_path / "broken.chain"
+    write_chain(y.inject(7, "fixed-0").inject(8, "fixed-1"), path)
+    return path
+
+
+def test_verify_report_on_a_non_cycle(non_cycle_file, capsys):
+    code, report = run_json(capsys, ["verify", str(non_cycle_file), "--json"])
+    assert code == EXIT_OK
+    assert report == {
+        "command": "verify",
+        "inputs": {"path": str(non_cycle_file)},
+        "results": {
+            "n": 8,
+            "k": 2,
+            "norm": 32,
+            "cycle": False,
+            "components": 3,
+            "support_active_coordinates": 6,
+            "boundary_norm": 28,
+            "boundary_faces": NON_CYCLE_BOUNDARY,
+        },
+        "status": "ok",
+    }
+
+
+@pytest.mark.parametrize(
+    "strategy, budget", [("linear", None), ("recursive", None), ("exact", 0)]
+)
+def test_fill_report_on_a_non_cycle(non_cycle_file, capsys, strategy, budget):
+    options = ["--strategy", strategy] + (["--budget", str(budget)] if budget is not None else [])
+    code, report = run_json(capsys, ["fill", str(non_cycle_file), *options, "--json"])
+    assert code == EXIT_INVALID
+    assert report == {
+        "command": "fill",
+        "inputs": {
+            "path": str(non_cycle_file),
+            "strategy": strategy,
+            "budget": 1_000_000 if budget is None else budget,
+        },
+        "results": {
+            "error": "input chain is not a cycle",
+            "n": 8,
+            "k": 2,
+            "input_norm": 32,
+            "boundary_norm": 28,
+            "boundary_faces": NON_CYCLE_BOUNDARY,
+        },
+        "status": "invalid-input",
+    }
+    assert not (non_cycle_file.parent / "broken.chain.fill").exists()
+
+
+@pytest.mark.parametrize("command", ["fill", "verify"])
+def test_undecodable_file_is_invalid(tmp_path, capsys, command):
+    path = tmp_path / "binary.chain"
+    path.write_bytes(b"cube 2 1\n\xff\xfe\n")
+    code, report = run_json(capsys, [command, str(path), "--json"])
+    assert code == EXIT_INVALID
+    assert report["status"] == "invalid-input"
+    assert "UTF-8" in report["results"]["error"]
+
+
 class TestSharpness:
     def test_csv_header_and_rows(self, capsys):
         code = main(["sharpness", "1", "--n-max", "100", "--csv"])
