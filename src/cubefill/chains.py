@@ -185,6 +185,8 @@ def random_cycle(n: int, k: int, density: float, seed: int) -> Chain:
     """
     if not 1 <= k + 1 <= n:
         raise ValueError(f"need 1 <= k+1 <= n, got k={k}, n={n}")
+    if n > MAX_COORDINATES:
+        raise ValueError(f"dimension {n} outside [0, {MAX_COORDINATES}]")
     if not 0 <= density <= 1:
         raise ValueError(f"density {density} outside [0, 1]")
     rng = random.Random(seed)

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import comb
 
 from .chainfile import ChainFormatError, read_chain, write_chain
 from .chains import Chain, random_cycle
@@ -25,7 +24,7 @@ from .filling import (
     recursive_fill,
     support_subcube,
 )
-from .minimizers import minimizer_cycle, sharpness_table
+from .minimizers import minimizer_cycle, minimizer_fill_value, minimizer_norm, sharpness_table
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -76,11 +75,12 @@ def _cmd_gen_minimizer(args: argparse.Namespace) -> int:
         return _invalid("gen-minimizer", inputs, "need 1 <= k < n <= 20", args.json)
     chain = minimizer_cycle(args.n, args.k)
     write_chain(chain, args.out)
+    fill_value = minimizer_fill_value(args.n, args.k)
     results = {
         "norm": chain.norm,
-        "norm_formula": f"2*C({args.n},{args.k}) = {2 * comb(args.n, args.k)}",
-        "fill_value": comb(args.n, args.k + 1),
-        "fill_formula": f"C({args.n},{args.k + 1}) = {comb(args.n, args.k + 1)}",
+        "norm_formula": f"2*C({args.n},{args.k}) = {minimizer_norm(args.n, args.k)}",
+        "fill_value": fill_value,
+        "fill_formula": f"C({args.n},{args.k + 1}) = {fill_value}",
     }
     _emit(_report("gen-minimizer", inputs, results), args.json)
     return EXIT_OK
@@ -88,41 +88,26 @@ def _cmd_gen_minimizer(args: argparse.Namespace) -> int:
 
 def _certificate_fields(z: Chain, result) -> dict:
     if result.strategy == "linear":
-        certificate = result.bound_certificate
-        return {
-            "certificate": str(certificate),
-            "certificate_float": float(certificate),
-            "certificate_formula": (
-                f"(n-k)/(2(k+1))*norm = ({z.n}-{z.k})/(2*({z.k}+1))*{z.norm}"
-            ),
-        }
-    if result.strategy == "recursive":
-        return {
-            "certificate": result.bound_certificate,
-            "certificate_float": float(result.bound_certificate),
-            "certificate_formula": (
-                f"c_k*norm^((k+1)/k) with k={z.k}, c_k={c_constant(z.k)!r}, norm={z.norm}"
-            ),
-        }
+        formula = f"(n-k)/(2(k+1))*norm = ({z.n}-{z.k})/(2*({z.k}+1))*{z.norm}"
+    elif result.strategy == "recursive":
+        formula = f"c_k*norm^((k+1)/k) with k={z.k}, c_k={c_constant(z.k)!r}, norm={z.norm}"
+    elif result.optimal:
+        formula = "minimum filling weight (search completed)"
+    else:
+        formula = "best filling weight found within the node budget"
+    certificate = result.bound_certificate
     return {
-        "certificate": result.bound_certificate,
-        "certificate_float": float(result.bound_certificate),
-        "certificate_formula": (
-            "minimum filling weight (search completed)"
-            if result.optimal
-            else "best filling weight found within the node budget"
-        ),
+        "certificate": str(certificate) if isinstance(certificate, Fraction) else certificate,
+        "certificate_float": float(certificate),
+        "certificate_formula": formula,
     }
 
 
-def _bound_holds(z: Chain, result) -> bool:
-    if result.strategy == "linear":
-        return Fraction(result.filling.norm) <= result.bound_certificate
-    if result.strategy == "recursive":
-        return leq_with_tolerance(
-            float(result.filling.norm), float(result.bound_certificate), BOUND_REL_TOL
-        )
-    return True
+def _bound_holds(result) -> bool:
+    certificate = result.bound_certificate
+    if isinstance(certificate, Fraction):
+        return result.filling.norm <= certificate
+    return leq_with_tolerance(float(result.filling.norm), float(certificate), BOUND_REL_TOL)
 
 
 def _cmd_fill(args: argparse.Namespace) -> int:
@@ -150,7 +135,7 @@ def _cmd_fill(args: argparse.Namespace) -> int:
     out_path = f"{args.path}.fill"
     write_chain(result.filling, out_path)
     valid = result.filling.boundary() == z
-    status = "ok" if valid and _bound_holds(z, result) else "bound-violation"
+    status = "ok" if valid and _bound_holds(result) else "bound-violation"
     results = {
         "n": z.n,
         "k": z.k,

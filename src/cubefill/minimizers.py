@@ -109,11 +109,11 @@ def verify_minimizer(
     skipped (None) when n exceeds ``oracle_limit``.
     """
     z = minimizer_cycle(n, k)
-    fill_value = comb(n, k + 1)
+    fill_value = minimizer_fill_value(n, k)
     cut = z.slice(1, 1)
     checks: dict[str, bool | None] = {
         "cycle": z.is_cycle(),
-        "norm": z.norm == 2 * comb(n, k),
+        "norm": z.norm == minimizer_norm(n, k),
         "slice_sides": cut.z_plus + cut.z_minus == _minimizer_chain(n - 1, k),
         "slice_crossing": cut.z_zero == _minimizer_chain(n - 1, k - 1),
         "linear_sharpness": linear_fill(z).filling.norm == fill_value,
@@ -155,15 +155,11 @@ def sharpness_asymptote(k: int) -> float:
 
 def sharpness_table(k: int, n_values: Iterable[int]) -> list[SharpnessRow]:
     """Closed-form rows (no chain construction), so n may be large."""
-    if k < 1:
-        raise ValueError(f"degree {k} must be at least 1")
     asymptote = sharpness_asymptote(k)
     rows = []
     for n in n_values:
-        if n <= k:
-            raise ValueError(f"need n > k, got n={n}, k={k}")
-        norm = 2 * comb(n, k)
-        fill = comb(n, k + 1)
+        norm = minimizer_norm(n, k)
+        fill = minimizer_fill_value(n, k)
         try:
             ratio = fill / float(norm) ** ((k + 1) / k)
         except OverflowError:

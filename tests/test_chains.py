@@ -266,6 +266,11 @@ class TestRandomCycle:
         with pytest.raises(ValueError):
             random_cycle(3, 3, 0.5, 0)
 
+    def test_dimension_above_max_coordinates(self):
+        # Chain(65, 64) refuses this shape, so a file of it would not read back
+        with pytest.raises(ValueError, match="dimension 65 outside"):
+            random_cycle(65, 64, 1.0, seed=0)
+
 
 class TestOneRepresentation:
     def test_faces_files_and_engines_give_equal_chains(self, tmp_path):

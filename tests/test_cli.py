@@ -1,12 +1,24 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from cubefill import Chain, minimizer_cycle, random_cycle, read_chain, write_chain
+from cubefill import (
+    Chain,
+    FillResult,
+    exact_fill,
+    linear_fill,
+    minimizer_cycle,
+    random_cycle,
+    read_chain,
+    recursive_fill,
+    write_chain,
+)
 from cubefill.cli import (
     CSV_HEADER,
+    EXIT_BOUND_VIOLATION,
     EXIT_INVALID,
     EXIT_IO,
     EXIT_OK,
@@ -398,3 +410,137 @@ class TestHumanOutput:
         _, report = run_json(capsys, ["fill", str(path), "--json"])
         assert json.loads(json.dumps(report)) == report
         assert set(report) == {"command", "inputs", "results", "status"}
+
+
+# The hexagon inside Q_4: its linear certificate (4-1)/(2*2)*6 = 9/2 is not an
+# integer, and a 3-node budget stops the exact search before it proves 3 optimal.
+HEXAGON_Q4 = HEXAGON.inject(4, "fixed-0")
+
+FILL_REPORTS = {
+    ("linear", None): (False, 0, "9/2", 4.5, "(n-k)/(2(k+1))*norm = (4-1)/(2*(1+1))*6"),
+    ("recursive", None): (
+        False, 0, 86.9116882454314, 86.9116882454314,
+        "c_k*norm^((k+1)/k) with k=1, c_k=2.4142135623730945, norm=6",
+    ),
+    ("exact", None): (True, 4, 3, 3.0, "minimum filling weight (search completed)"),
+    ("exact", 3): (False, 4, 3, 3.0, "best filling weight found within the node budget"),
+}
+
+
+def fill_report(path, strategy, budget):
+    optimal, nodes, certificate, certificate_float, formula = FILL_REPORTS[strategy, budget]
+    return {
+        "command": "fill",
+        "inputs": {
+            "path": str(path),
+            "strategy": strategy,
+            "budget": 1_000_000 if budget is None else budget,
+        },
+        "results": {
+            "n": 4,
+            "k": 1,
+            "input_norm": 6,
+            "filling_path": f"{path}.fill",
+            "filling_norm": 3,
+            "optimal": optimal,
+            "nodes_explored": nodes,
+            "certificate": certificate,
+            "certificate_float": certificate_float,
+            "certificate_formula": formula,
+        },
+        "status": "ok",
+    }
+
+
+@pytest.fixture
+def hexagon_q4_file(tmp_path):
+    path = tmp_path / "hex4.chain"
+    write_chain(HEXAGON_Q4, path)
+    return path
+
+
+def fill_argv(path, strategy, budget):
+    return ["fill", str(path), "--strategy", strategy] + (
+        ["--budget", str(budget)] if budget is not None else []
+    )
+
+
+@pytest.mark.parametrize("strategy, budget", list(FILL_REPORTS))
+def test_fill_json_report_on_a_cycle(hexagon_q4_file, capsys, strategy, budget):
+    code, report = run_json(capsys, [*fill_argv(hexagon_q4_file, strategy, budget), "--json"])
+    assert code == EXIT_OK
+    assert report == fill_report(hexagon_q4_file, strategy, budget)
+    assert read_chain(f"{hexagon_q4_file}.fill").boundary() == HEXAGON_Q4
+
+
+@pytest.mark.parametrize("strategy, budget", list(FILL_REPORTS))
+def test_fill_text_report_on_a_cycle(hexagon_q4_file, capsys, strategy, budget):
+    code = main(fill_argv(hexagon_q4_file, strategy, budget))
+    assert code == EXIT_OK
+    report = fill_report(hexagon_q4_file, strategy, budget)
+    lines = ["fill: ok"] + [
+        f"  {key}: {value}"
+        for section in ("inputs", "results")
+        for key, value in report[section].items()
+    ]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_gen_minimizer_json_report(tmp_path, capsys):
+    out = tmp_path / "z52.chain"
+    code, report = run_json(capsys, ["gen-minimizer", "5", "2", "--out", str(out), "--json"])
+    assert code == EXIT_OK
+    assert report == {
+        "command": "gen-minimizer",
+        "inputs": {"n": 5, "k": 2, "out": str(out)},
+        "results": {
+            "norm": 20,
+            "norm_formula": "2*C(5,2) = 20",
+            "fill_value": 10,
+            "fill_formula": "C(5,3) = 10",
+        },
+        "status": "ok",
+    }
+
+
+class TestBoundViolationTripwire:
+    """The CLI re-checks every engine result; a broken one exits 3."""
+
+    @pytest.fixture
+    def hexagon_file(self, tmp_path):
+        path = tmp_path / "hex.chain"
+        write_chain(HEXAGON, path)
+        return path
+
+    def run_with(self, monkeypatch, capsys, path, result):
+        # each strategy's engine is named <strategy>_fill
+        monkeypatch.setattr(f"cubefill.cli.{result.strategy}_fill", lambda *args: result)
+        return run_json(capsys, ["fill", str(path), "--strategy", result.strategy, "--json"])
+
+    def test_linear_certificate_below_the_norm(self, hexagon_file, monkeypatch, capsys):
+        filling = linear_fill(HEXAGON).filling
+        result = FillResult(filling, "linear", Fraction(2 * filling.norm - 1, 2))
+        code, report = self.run_with(monkeypatch, capsys, hexagon_file, result)
+        assert code == EXIT_BOUND_VIOLATION
+        assert report["status"] == "bound-violation"
+        assert report["results"]["certificate"] == "5/2"
+
+    @pytest.mark.parametrize(
+        "shortfall, code, status",
+        [(1e-8, EXIT_BOUND_VIOLATION, "bound-violation"), (5e-10, EXIT_OK, "ok")],
+    )
+    def test_recursive_certificate_below_the_norm(
+        self, hexagon_file, monkeypatch, capsys, shortfall, code, status
+    ):
+        filling = recursive_fill(HEXAGON).filling
+        result = FillResult(filling, "recursive", filling.norm * (1.0 - shortfall))
+        got, report = self.run_with(monkeypatch, capsys, hexagon_file, result)
+        assert (got, report["status"]) == (code, status)
+
+    def test_exact_filling_of_another_cycle(self, hexagon_file, monkeypatch, capsys):
+        filling = exact_fill(minimizer_cycle(3, 1)).filling + Chain.from_words("**0")
+        assert filling.boundary() != HEXAGON
+        result = FillResult(filling, "exact", filling.norm, optimal=True, nodes_explored=1)
+        code, report = self.run_with(monkeypatch, capsys, hexagon_file, result)
+        assert code == EXIT_BOUND_VIOLATION
+        assert report["status"] == "bound-violation"
