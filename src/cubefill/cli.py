@@ -51,6 +51,8 @@ def _emit(report: dict, as_json: bool) -> None:
         for key, value in report[section].items():
             if isinstance(value, list):
                 value = " ".join(str(v) for v in value)
+            elif value is None:
+                value = "null"
             print(f"  {key}: {value}")
 
 
@@ -104,6 +106,8 @@ def _certificate_fields(z: Chain, result) -> dict:
 
 
 def _bound_holds(result) -> bool:
+    if result.lower_bound is not None and result.lower_bound > result.filling.norm:
+        return False
     certificate = result.bound_certificate
     if isinstance(certificate, Fraction):
         return result.filling.norm <= certificate
@@ -144,6 +148,7 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         "filling_norm": result.filling.norm,
         "optimal": result.optimal,
         "nodes_explored": result.nodes_explored,
+        "lower_bound": result.lower_bound,
     }
     results.update(_certificate_fields(z, result))
     _emit(_report("fill", inputs, results, status=status), args.json)

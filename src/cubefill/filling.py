@@ -20,7 +20,8 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
 
 * ``exact_fill`` is a branch-and-bound search for a minimum-weight
   filling, seeded with the linear filling and pruned by the admissible
-  bound ceil(residual / (2(k+1))).
+  bound ceil(residual / (2(k+1))); it stops at the first filling that
+  meets the paper's slicing lower bound, computed once at the root.
 
 All three engines work on the int codes a ``Chain`` keeps, ``free_mask
 << n | fixed_bits``, in the input's own Q_n: the input's codes go in, the
@@ -43,7 +44,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
+from operator import or_
 
 from .chains import Chain
 from .constants import c_constant, constants_for
@@ -71,7 +73,8 @@ class FillResult:
     ``bound_certificate`` is the value the strategy guarantees: an exact
     rational for the linear strategy, a float for the power bound, and the
     achieved weight for the exact search.  ``optimal`` is set only by a
-    completed exact search.
+    completed exact search, ``lower_bound`` (on every filling's weight) only
+    by the exact search.
     """
 
     filling: Chain
@@ -79,6 +82,7 @@ class FillResult:
     bound_certificate: Fraction | float | int
     optimal: bool = False
     nodes_explored: int = 0
+    lower_bound: int | None = None
 
 
 def _require_cycle(z: Chain) -> None:
@@ -301,6 +305,39 @@ def recursive_fill(z: Chain) -> FillResult:
     return FillResult(Chain._of(z.n, z.k + 1, filling), "recursive", certificate)
 
 
+def _lower_bound(codes: Iterable[int], n: int, budget: int) -> int:
+    """The paper's slicing lower bound on the weight of every filling of ``codes``.
+
+    Cut at a coordinate, a filling keeps its cells free there as a filling of
+    the crossing, and each (k+1)-cell is free at k+1 coordinates; a 0-cycle's
+    filling holds a perfect matching, so at degree 0 the bound is half the
+    sum of each vertex's distance to its nearest other one.  Bounds are
+    memoised by cut-coordinate mask.  Past about ``budget`` memoised
+    crossings the rest count as 0, which weakens the bound but keeps it valid.
+    """
+    memo: dict[int, int] = {}
+
+    def bound(z: list[int], cut: int) -> int:
+        k = (next(iter(z), 0) >> n).bit_count()
+        if k == 0:
+            # a neighbour at distance 1 if there is one, else a scan of all
+            vertices = set(z)
+            nearest = (
+                1 if any(v ^ 1 << i in vertices for i in range(n))
+                else min((v ^ u).bit_count() for u in z if u != v)
+                for v in z
+            )
+            return -(-sum(nearest) // 2)
+        total = 0
+        for bit in _bits(reduce(or_, z) >> n):
+            if cut | bit not in memo and len(memo) < budget:
+                memo[cut | bit] = bound([c ^ bit << n for c in z if c >> n & bit], cut | bit)
+            total += memo.get(cut | bit, 0)
+        return max(-(-len(z) // (2 * (k + 1))), -(-total // (k + 1)))
+
+    return bound(list(codes), 0)
+
+
 def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     """Minimum-weight filling by branch and bound.
 
@@ -309,7 +346,11 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     face order, excluding cells already tried at this node so the branches
     partition the solution space.  A node is pruned when its weight plus
     ceil(residual / (2(k+1))) cannot beat the best known filling (each cell
-    clears at most 2(k+1) residual faces).
+    clears at most 2(k+1) residual faces).  The search stops at the first
+    filling, the linear seed included, that meets ``lower_bound``: the slicing
+    bound, computed once at the root (per node it costs more than it saves)
+    unless the seed meets the trivial bound, and given at most
+    ``node_budget`` plus ``z.norm`` memoised crossings.
 
     If the node budget runs out, the best filling found so far is returned
     with ``optimal`` False.  Node counts are deterministic.
@@ -318,15 +359,16 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         raise ValueError("node budget must be positive")
     _require_cycle(z)
     if not z.codes:
-        return FillResult(Chain._of(z.n, z.k + 1, frozenset()), "exact", 0, optimal=True)
+        empty = Chain._of(z.n, z.k + 1, frozenset())
+        return FillResult(empty, "exact", 0, optimal=True, lower_bound=0)
 
     n = z.n
     best_cells = _linear_fill_chain(z.codes, n, (1 << n) - 1)
     best_weight = len(best_cells)
     denominator = 2 * (z.k + 1)
-    if best_weight <= -(-z.norm // denominator):
-        # The seed already meets the global lower bound.
-        return FillResult(Chain._of(n, z.k + 1, best_cells), "exact", best_weight, optimal=True)
+    bound = -(-z.norm // denominator)
+    if best_weight > bound:
+        bound = _lower_bound(z.codes, n, node_budget + z.norm)
 
     cell_boundary = cache(partial(_boundary, n=n))
     residual = set(z.codes)
@@ -338,7 +380,7 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     # goes in when the cell is chosen and out again when it is undone.  Each
     # frame holds the cells a node branches on and how many it has tried.
     stack: list[tuple[list[int], int]] = []
-    while True:
+    while best_weight > bound:
         nodes += 1
         if nodes > node_budget:
             break
@@ -369,4 +411,4 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         if not stack:
             break
     best = Chain._of(n, z.k + 1, best_cells)
-    return FillResult(best, "exact", best_weight, nodes <= node_budget, nodes)
+    return FillResult(best, "exact", best_weight, nodes <= node_budget, nodes, lower_bound=bound)

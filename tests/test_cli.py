@@ -122,8 +122,11 @@ class TestFill:
         assert sorted(report["results"]["boundary_faces"]) == ["000", "100"]
 
     def test_budget_exhaustion_reports_ok_not_optimal(self, tmp_path, capsys):
-        path = tmp_path / "z41.chain"
-        write_chain(minimizer_cycle(4, 1), path)
+        # the slicing bound (5) is below the linear seed (6), so proving the
+        # seed optimal takes a search that 2 nodes cannot finish
+        z = random_cycle(4, 1, 0.3, seed=2)
+        path = tmp_path / "r41.chain"
+        write_chain(z, path)
         code, report = run_json(
             capsys, ["fill", str(path), "--strategy", "exact", "--budget", "2", "--json"]
         )
@@ -131,7 +134,7 @@ class TestFill:
         assert report["status"] == "ok"
         assert report["results"]["optimal"] is False
         filling = read_chain(report["results"]["filling_path"])
-        assert filling.boundary() == minimizer_cycle(4, 1)
+        assert filling.boundary() == z
 
     def test_deep_exact_search_exits_ok(self, tmp_path, capsys):
         # the search path grows past the interpreter's recursion limit
@@ -412,23 +415,26 @@ class TestHumanOutput:
         assert set(report) == {"command", "inputs", "results", "status"}
 
 
-# The hexagon inside Q_4: its linear certificate (4-1)/(2*2)*6 = 9/2 is not an
-# integer, and a 3-node budget stops the exact search before it proves 3 optimal.
-HEXAGON_Q4 = HEXAGON.inject(4, "fixed-0")
+# A 14-edge cycle in Q_4: its linear certificate (4-1)/(2*2)*14 = 21/2 is not
+# an integer, its slicing bound 4 is below its minimum filling 5, and a 3-node
+# budget stops the exact search before it proves 5 optimal.
+CYCLE_Q4 = random_cycle(4, 1, 0.2, seed=2)
 
 FILL_REPORTS = {
-    ("linear", None): (False, 0, "9/2", 4.5, "(n-k)/(2(k+1))*norm = (4-1)/(2*(1+1))*6"),
+    ("linear", None): (False, 0, None, "21/2", 10.5, "(n-k)/(2(k+1))*norm = (4-1)/(2*(1+1))*14"),
     ("recursive", None): (
-        False, 0, 86.9116882454314, 86.9116882454314,
-        "c_k*norm^((k+1)/k) with k=1, c_k=2.4142135623730945, norm=6",
+        False, 0, None, 473.18585822512654, 473.18585822512654,
+        "c_k*norm^((k+1)/k) with k=1, c_k=2.4142135623730945, norm=14",
     ),
-    ("exact", None): (True, 4, 3, 3.0, "minimum filling weight (search completed)"),
-    ("exact", 3): (False, 4, 3, 3.0, "best filling weight found within the node budget"),
+    ("exact", None): (True, 11, 4, 5, 5.0, "minimum filling weight (search completed)"),
+    ("exact", 3): (False, 4, 4, 5, 5.0, "best filling weight found within the node budget"),
 }
 
 
 def fill_report(path, strategy, budget):
-    optimal, nodes, certificate, certificate_float, formula = FILL_REPORTS[strategy, budget]
+    optimal, nodes, lower_bound, certificate, certificate_float, formula = FILL_REPORTS[
+        strategy, budget
+    ]
     return {
         "command": "fill",
         "inputs": {
@@ -439,11 +445,12 @@ def fill_report(path, strategy, budget):
         "results": {
             "n": 4,
             "k": 1,
-            "input_norm": 6,
+            "input_norm": 14,
             "filling_path": f"{path}.fill",
-            "filling_norm": 3,
+            "filling_norm": 5,
             "optimal": optimal,
             "nodes_explored": nodes,
+            "lower_bound": lower_bound,
             "certificate": certificate,
             "certificate_float": certificate_float,
             "certificate_formula": formula,
@@ -453,9 +460,9 @@ def fill_report(path, strategy, budget):
 
 
 @pytest.fixture
-def hexagon_q4_file(tmp_path):
-    path = tmp_path / "hex4.chain"
-    write_chain(HEXAGON_Q4, path)
+def cycle_q4_file(tmp_path):
+    path = tmp_path / "r41.chain"
+    write_chain(CYCLE_Q4, path)
     return path
 
 
@@ -466,20 +473,20 @@ def fill_argv(path, strategy, budget):
 
 
 @pytest.mark.parametrize("strategy, budget", list(FILL_REPORTS))
-def test_fill_json_report_on_a_cycle(hexagon_q4_file, capsys, strategy, budget):
-    code, report = run_json(capsys, [*fill_argv(hexagon_q4_file, strategy, budget), "--json"])
+def test_fill_json_report_on_a_cycle(cycle_q4_file, capsys, strategy, budget):
+    code, report = run_json(capsys, [*fill_argv(cycle_q4_file, strategy, budget), "--json"])
     assert code == EXIT_OK
-    assert report == fill_report(hexagon_q4_file, strategy, budget)
-    assert read_chain(f"{hexagon_q4_file}.fill").boundary() == HEXAGON_Q4
+    assert report == fill_report(cycle_q4_file, strategy, budget)
+    assert read_chain(f"{cycle_q4_file}.fill").boundary() == CYCLE_Q4
 
 
 @pytest.mark.parametrize("strategy, budget", list(FILL_REPORTS))
-def test_fill_text_report_on_a_cycle(hexagon_q4_file, capsys, strategy, budget):
-    code = main(fill_argv(hexagon_q4_file, strategy, budget))
+def test_fill_text_report_on_a_cycle(cycle_q4_file, capsys, strategy, budget):
+    code = main(fill_argv(cycle_q4_file, strategy, budget))
     assert code == EXIT_OK
-    report = fill_report(hexagon_q4_file, strategy, budget)
+    report = fill_report(cycle_q4_file, strategy, budget)
     lines = ["fill: ok"] + [
-        f"  {key}: {value}"
+        f"  {key}: {'null' if value is None else value}"
         for section in ("inputs", "results")
         for key, value in report[section].items()
     ]
@@ -544,3 +551,11 @@ class TestBoundViolationTripwire:
         code, report = self.run_with(monkeypatch, capsys, hexagon_file, result)
         assert code == EXIT_BOUND_VIOLATION
         assert report["status"] == "bound-violation"
+
+    def test_exact_lower_bound_above_the_norm(self, hexagon_file, monkeypatch, capsys):
+        filling = exact_fill(HEXAGON).filling
+        result = FillResult(filling, "exact", filling.norm, True, 0, filling.norm + 1)
+        code, report = self.run_with(monkeypatch, capsys, hexagon_file, result)
+        assert code == EXIT_BOUND_VIOLATION
+        assert report["status"] == "bound-violation"
+        assert report["results"]["lower_bound"] == 4

@@ -20,13 +20,17 @@ from cubefill import (
     leq_with_tolerance,
     linear_fill,
     minimizer_cycle,
+    minimizer_fill_value,
     parse_face,
     random_cycle,
     recursive_fill,
     support_subcube,
 )
+from cubefill.faces import _bits
+from cubefill.filling import _lower_bound
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
+CUBE_30_BOUNDARY = Chain.from_words("*" * 30).boundary()
 
 
 def brute_force_fill_weight(z, max_weight):
@@ -100,7 +104,7 @@ def exact_corpus():
 # sha256 over (filling file, nodes_explored, optimal) of each exact search in
 # exact_corpus().  The search's branch order and budget abort are part of the
 # contract: a faster search must reach the same nodes in the same order.
-GOLDEN_EXACT_SHA256 = "1bbbda4114ac2bc0da9049b9988695b0ef9cf22cad4b312d7f207c610c108f74"
+GOLDEN_EXACT_SHA256 = "2242fc7061e427a35c72cea42dcb14fab8237a4c35fc37a9161d14059feb0561"
 
 
 def test_golden_exact_searches_are_unchanged():
@@ -275,7 +279,9 @@ class TestExactFill:
             exact_fill(HEXAGON, 0)
 
     def test_tiny_budget_still_returns_valid_filling(self):
-        z = minimizer_cycle(4, 1)
+        # the linear seed (6 cells) is above the slicing bound (5), so the
+        # search must run to prove it optimal
+        z = random_cycle(4, 1, 0.3, seed=2)
         result = exact_fill(z, 2)
         assert not result.optimal
         assert result.filling.boundary() == z
@@ -331,12 +337,13 @@ class TestExactFill:
                 word[position] = symbol
             return "".join(word)
 
-        z = Chain.from_words(*(spread(f) for f in minimizer_cycle(4, 1).support))
+        z = Chain.from_words(*(spread(f) for f in random_cycle(4, 1, 0.3, seed=2).support))
         result = exact_fill(z, 3000)
         assert result.filling.boundary() == z
         assert result.filling.norm == 6
-        assert not result.optimal
-        assert result.nodes_explored == 3001
+        assert result.lower_bound == 5
+        assert result.optimal
+        assert result.nodes_explored == 439
 
     def test_node_counts_are_deterministic(self):
         z = minimizer_cycle(4, 1)
@@ -344,6 +351,117 @@ class TestExactFill:
         second = exact_fill(z)
         assert first.nodes_explored == second.nodes_explored
         assert first.filling == second.filling
+
+
+# a crossing budget that no input in these tests reaches
+ALL_CROSSINGS = 1 << 30
+
+
+def bound_corpus():
+    yield from small_cycles()
+    for n in range(3, 7):
+        for k in range(1, min(4, n - 1) + 1):
+            for seed in range(5):
+                yield random_cycle(n, k, (k + 1) * 1.5 / 2**n, seed)
+
+
+def permuted(z, order):
+    return Chain.from_words(*("".join(str(f)[i] for i in order) for f in z.support))
+
+
+def reflected(z, flips):
+    swap = str.maketrans("01", "10")
+    words = (
+        "".join(c.translate(swap) if flip else c for c, flip in zip(str(f), flips))
+        for f in z.support
+    )
+    return Chain.from_words(*words)
+
+
+class TestLowerBound:
+    def test_never_exceeds_a_completed_search(self, monkeypatch):
+        # with the slicing bound switched off the search proves optimality by
+        # the trivial per-node bound alone, independently of the bound tested
+        monkeypatch.setattr("cubefill.filling._lower_bound", lambda codes, n, budget: 0)
+        completed = tight = 0
+        for z in bound_corpus():
+            result = exact_fill(z, 20_000)
+            if z.norm and result.optimal:
+                completed += 1
+                bound = _lower_bound(z.codes, z.n, ALL_CROSSINGS)
+                assert bound <= result.filling.norm, z
+                tight += bound == result.filling.norm
+        assert completed >= 60 and tight >= 45
+
+    def test_meets_the_minimizer_fill_values(self):
+        for n in range(2, 13):
+            for k in range(1, n):
+                z = minimizer_cycle(n, k)
+                assert _lower_bound(z.codes, n, ALL_CROSSINGS) == minimizer_fill_value(n, k)
+
+    def test_invariant_under_cube_symmetries(self):
+        rng = random.Random(5)
+        cycles = [minimizer_cycle(6, 2), lift(minimizer_cycle(4, 2), 9, 2), dumbbell()]
+        cycles += [random_cycle(6, k, 0.1, seed) for k in (1, 2, 3) for seed in (1, 2)]
+        for z in cycles:
+            bound = _lower_bound(z.codes, z.n, ALL_CROSSINGS)
+            order = rng.sample(range(z.n), z.n)
+            flips = [rng.random() < 0.5 for _ in range(z.n)]
+            for image in (permuted(z, order), reflected(z, flips)):
+                assert image.is_cycle()
+                assert _lower_bound(image.codes, z.n, ALL_CROSSINGS) == bound
+
+    def test_degree_zero_pairs_each_vertex_with_its_nearest(self):
+        for words, bound in ((("000", "111"), 3), (("0000", "0001", "1110", "1111"), 2)):
+            z = Chain.from_words(*words)
+            assert _lower_bound(z.codes, z.n, ALL_CROSSINGS) == bound
+            assert brute_force_fill_weight(z, bound) == bound
+        rng = random.Random(3)
+        for d, size in ((4, 6), (8, 40), (10, 200), (12, 30)):
+            z = Chain.from_words(*(format(v, f"0{d}b") for v in rng.sample(range(1 << d), size)))
+            nearest = sum(min((v ^ u).bit_count() for u in z.codes if u != v) for v in z.codes)
+            assert _lower_bound(z.codes, d, ALL_CROSSINGS) == -(-nearest // 2)
+
+    def test_a_smaller_budget_gives_a_weaker_valid_bound(self):
+        for z in (minimizer_cycle(12, 9), minimizer_cycle(8, 3), random_cycle(8, 2, 0.05, 1)):
+            full = _lower_bound(z.codes, z.n, ALL_CROSSINGS)
+            trivial = -(-z.norm // (2 * (z.k + 1)))
+            assert trivial < full
+            assert _lower_bound(z.codes, z.n, 0) == trivial
+            for budget in (1, 10, 100):
+                assert trivial <= _lower_bound(z.codes, z.n, budget) <= full
+
+    def test_builds_about_its_budget_of_crossings(self, monkeypatch):
+        # the boundary of a 30-cell has 2^30 - 2 crossings below it; each one
+        # built lists its free coordinates once, and at most one per level
+        # past the budget is built
+        calls = []
+
+        def counted(mask):
+            calls.append(mask)
+            return _bits(mask)
+
+        monkeypatch.setattr("cubefill.filling._bits", counted)
+        assert _lower_bound(CUBE_30_BOUNDARY.codes, 30, 100) == 1
+        assert len(calls) <= 100 + 30
+
+    def test_proves_a_cube_boundary_without_the_slicing_bound(self, monkeypatch):
+        # the linear seed, the 30-cell itself, meets the trivial bound
+        def unreachable(*args):
+            raise AssertionError("the slicing bound was computed")
+
+        monkeypatch.setattr("cubefill.filling._lower_bound", unreachable)
+        result = exact_fill(CUBE_30_BOUNDARY, 1)
+        assert result.optimal
+        assert result.nodes_explored == 0
+        assert result.filling.norm == result.lower_bound == 1
+
+    def test_proves_the_7_2_minimizer_without_search(self):
+        # the trivial bound alone leaves this search out of budget at 200k nodes
+        result = exact_fill(minimizer_cycle(7, 2), 1)
+        assert result.optimal
+        assert result.nodes_explored == 0
+        assert result.filling.norm == result.lower_bound == 35
 
 
 class TestComponents:

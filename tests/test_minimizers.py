@@ -163,6 +163,13 @@ class TestVerifyReport:
         report = verify_minimizer(6, 4, oracle_limit=6)
         assert report["checks"]["oracle_fill"] is True
 
+    def test_oracle_runs_above_five(self):
+        # the slicing lower bound meets the linear seed, C(n, k+1), so the
+        # exact search proves the member optimal without a search
+        report = verify_minimizer(12, 5, oracle_limit=12)
+        assert report["ok"], report
+        assert report["checks"]["oracle_fill"] is True
+
 
 class TestSharpnessTable:
     def test_k1_n100_row(self):
