@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 from .faces import (
-    MAX_COORDINATES, Face, _boundary, _degree_codes, _delete, _face, _insert, _parse_word, _split
+    MAX_COORDINATES, Face, _columns, _degree_codes, _delete, _face, _insert, _parse_word, _split
 )
 
 __all__ = [
@@ -102,10 +105,15 @@ class Chain:
 
     def boundary(self) -> Chain:
         """Z2 sum of the face boundaries, one degree down."""
+        n, codes = self.n, list(self.codes)
+        frees = list(map(n.__rrshift__, codes))
         odd: set[int] = set()
-        for code in self.codes:  # a vertex's boundary is empty
-            odd ^= _boundary(code, self.n)
-        return Chain._of(self.n, max(self.k - 1, -1), frozenset(odd))
+        # faces free at a coordinate drop it in two ways, one XOR each
+        for bit, column in _columns(frees, reduce(or_, frees, 0)):
+            free = list(compress(codes, column))
+            odd ^= set(map((bit << n).__xor__, free))
+            odd ^= set(map((bit << n | bit).__xor__, free))
+        return Chain._of(n, max(self.k - 1, -1), frozenset(odd))
 
     def is_cycle(self) -> bool:
         return not self.boundary().codes

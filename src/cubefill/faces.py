@@ -11,7 +11,8 @@ in words and messages, 0-based inside the masks.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+import struct
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import comb
@@ -40,6 +41,18 @@ def _bits(mask: int) -> Iterator[int]:
     while mask:
         yield mask & -mask
         mask &= mask - 1
+
+
+_BIT_SET = [bytes(byte >> b & 1 for byte in range(256)) for b in range(8)]
+
+
+def _columns(values: Sequence[int], mask: int) -> Iterator[tuple[int, bytes]]:
+    """Per set bit of ``mask``, lowest first: the bit and a 0 or 1 per value, each below 2^64."""
+    # little-endian 64-bit words on any host: byte j of each holds its bits 8j to 8j+7
+    packed = struct.pack(f"<{len(values)}Q", *values)
+    for bit in _bits(mask):
+        at, shift = divmod(bit.bit_length() - 1, 8)
+        yield bit, packed[at::8].translate(_BIT_SET[shift])
 
 
 def _boundary(code: int, n: int) -> frozenset[int]:

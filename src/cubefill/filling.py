@@ -32,7 +32,8 @@ cell of its live coordinates: a facet or a support subcube of Q_n is
 itself a cell of Q_n, so a cut pins one live coordinate in place instead
 of renumbering into a smaller cube.  Each level chooses its cut from
 per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing,
-and rebuilds faces only along that coordinate.
+read off packed bit columns.  A side moves across a cut by one XOR, its
+faces sharing one state there, and the filling is summed into one set.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -49,7 +50,7 @@ from operator import or_
 
 from .chains import Chain
 from .constants import c_constant, constants_for
-from .faces import Face, _bits, _boundary, _coboundary, _face, _split, _word
+from .faces import Face, _bits, _boundary, _coboundary, _columns, _face, _split, _word
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -110,66 +111,64 @@ def fill_bound_power(k: int, norm: int) -> float:
     return c_constant(k) * float(norm) ** ((k + 1) / k)
 
 
-def _top_cell_fill(z: frozenset[int], n: int, live: int) -> frozenset[int]:
+def _top_cell_fill(z: frozenset[int], n: int, live: int, out: set[int]) -> None:
     # In a (k+1)-cell the only nonempty k-cycle is the boundary of the cell.
     cell = live << n | next(iter(z)) & ~live & ((1 << n) - 1)
-    if z == _boundary(cell, n):
-        return frozenset((cell,))
-    raise ValueError("chain is not a cycle")
+    if z != _boundary(cell, n):
+        raise ValueError("chain is not a cycle")
+    out ^= {cell}
 
 
-def _fill_zero_cycle(z: frozenset[int], n: int) -> frozenset[int]:
+def _fill_zero_cycle(z: frozenset[int], n: int, out: set[int]) -> None:
     """Pair up vertices and connect each pair by a monotone edge path."""
     if len(z) % 2:
         raise ValueError("a vertex chain of odd size has no filling")
     vertices = sorted(z)
-    edges: set[int] = set()
     for current, target in zip(vertices[0::2], vertices[1::2]):
         for bit in _bits(current ^ target):
-            edges ^= {bit << n | current & ~bit}
+            out ^= {bit << n | current & ~bit}
             current ^= bit
-    return frozenset(edges)
 
 
 def _slice_counts(z: frozenset[int], n: int, live: int) -> list[tuple[int, int, int, int]]:
-    """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing."""
+    """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing,
+    counted in its bit column over the packed fixed bits of the faces, then their free masks."""
     counts = []
-    for bit in _bits(live):
-        zeros, ones, crossing = map(len, _split(z, n, bit))
-        counts.append((bit, ones, zeros, crossing))
+    for bit, column in _columns([*map(((1 << n) - 1).__and__, z), *map(n.__rrshift__, z)], live):
+        ones, crossing = column.count(1, 0, len(z)), column.count(1, len(z))
+        counts.append((bit, ones, len(z) - ones - crossing, crossing))
     return counts
 
 
-def _pin(codes: Iterable[int], n: int, bit: int, value: int | None) -> frozenset[int]:
-    """The codes with the coordinate ``bit`` pinned to ``value``, or freed when it is None."""
-    keep = ~(bit << n | bit)
-    put = bit << n if value is None else bit if value == 1 else 0
-    return frozenset(code & keep | put for code in codes)
+def _pin(
+    codes: Iterable[int], n: int, bit: int, state: int | None, value: int | None
+) -> frozenset[int]:
+    """The codes, all in ``state`` at the coordinate ``bit``, moved to ``value`` (None: free)."""
+    put = {0: 0, 1: bit, None: bit << n}
+    return frozenset(map((put[state] ^ put[value]).__xor__, codes))
 
 
-def _cut(
-    z: frozenset[int], n: int, bit: int, plus_value: int
-) -> tuple[frozenset[int], frozenset[int]]:
+def _cut(z: frozenset[int], n: int, bit: int, plus_value: int, out: set[int]) -> frozenset[int]:
     """Push the faces of z pinned to ``plus_value`` across the coordinate ``bit``.
 
-    Returns the rest, a cycle in the facet pinned to the other value, and the
-    pushed (k+1)-chain: a filling of the rest plus the pushed chain fills z.
+    Adds the pushed (k+1)-chain to ``out`` and returns the rest, a cycle in the
+    facet pinned to the other value: its fillings plus the pushed chain fill z.
     """
     sides = _split(z, n, bit)
     plus = sides[plus_value]
-    rest = _pin(plus, n, bit, 1 - plus_value) ^ frozenset(sides[1 - plus_value])
-    return rest, _pin(plus, n, bit, None)
+    out ^= _pin(plus, n, bit, plus_value, None)
+    return _pin(plus, n, bit, plus_value, 1 - plus_value) ^ frozenset(sides[1 - plus_value])
 
 
-def _linear_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int]:
+def _linear_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -> None:
     if not z:
-        return frozenset()
+        return
     k = (next(iter(z)) >> n).bit_count()
     if k == 0:
-        return _fill_zero_cycle(z, n)
+        return _fill_zero_cycle(z, n, out)
     d = live.bit_count()
     if d == k + 1:
-        return _top_cell_fill(z, n, live)
+        return _top_cell_fill(z, n, live, out)
     # The cut minimizing the exact inductive cost in the d-dimensional live
     # cell, pushed + (d-k-1)/(2(k+1)) * (ones + zeros), scaled by 2(k+1) to
     # stay in integers.  Ties go to the lowest coordinate, then plus = 1.
@@ -178,8 +177,7 @@ def _linear_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int]:
         for bit, ones, zeros, _ in _slice_counts(z, n, live)
         for flip, pushed in ((0, ones), (1, zeros))
     )
-    rest, pushed = _cut(z, n, bit, 1 - flip)
-    return _linear_fill_chain(rest, n, live & ~bit) ^ pushed
+    _linear_fill_chain(_cut(z, n, bit, 1 - flip, out), n, live & ~bit, out)
 
 
 def linear_fill(z: Chain) -> FillResult:
@@ -188,8 +186,9 @@ def linear_fill(z: Chain) -> FillResult:
     if z.codes and z.n < z.k + 1:
         raise ValueError("no fillings exist above the top degree")
     certificate = fill_bound_linear(z.n, z.k, z.norm) if z.codes else Fraction(0)
-    filling = _linear_fill_chain(z.codes, z.n, (1 << z.n) - 1)
-    return FillResult(Chain._of(z.n, z.k + 1, filling), "linear", certificate)
+    filling: set[int] = set()
+    _linear_fill_chain(z.codes, z.n, (1 << z.n) - 1, filling)
+    return FillResult(Chain._of(z.n, z.k + 1, frozenset(filling)), "linear", certificate)
 
 
 def _components(z: frozenset[int], n: int) -> list[frozenset[int]]:
@@ -243,25 +242,24 @@ def support_subcube(z: Chain) -> Face:
     return _face(_support_cell(z.codes, z.n), z.n)
 
 
-def _recursive_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int]:
+def _recursive_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -> None:
     if not z:
-        return frozenset()
+        return
     k = (next(iter(z)) >> n).bit_count()
     if live.bit_count() == k + 1:
-        return _top_cell_fill(z, n, live)
+        return _top_cell_fill(z, n, live, out)
     if k == 1:
         # A connected 1-cycle of norm 2m fits in an m-dimensional cell, where
         # the linear certificate is already quadratic in the norm.
-        parts: frozenset[int] = frozenset()
         for component in _components(z, n):
-            parts ^= _linear_fill_chain(component, n, _support_cell(component, n) >> n)
-        return parts
+            _linear_fill_chain(component, n, _support_cell(component, n) >> n, out)
+        return
 
     # Coordinates nothing crosses, with everything on one side: drop them
     # from the live cell before any case analysis.
     cell = _support_cell(z, n) >> n
     if cell != live:
-        return _recursive_fill_chain(z, n, cell)
+        return _recursive_fill_chain(z, n, cell, out)
 
     consts = constants_for(k)
     threshold = consts.epsilon * float(len(z)) ** ((k - 1) / k)
@@ -275,22 +273,23 @@ def _recursive_fill_chain(z: frozenset[int], n: int, live: int) -> frozenset[int
     if not candidates:
         # Every slice crosses a lot, so the cycle is large and the linear
         # certificate fits under the power certificate.
-        return _linear_fill_chain(z, n, live)
+        return _linear_fill_chain(z, n, live, out)
 
     _, cheap_tag, bit, ones, zeros = min(candidates)
     inner = live & ~bit
     if cheap_tag == 0:
         # Case 1: push the smaller side across the slice.
-        rest, pushed = _cut(z, n, bit, 1 if ones <= zeros else 0)
-        return _recursive_fill_chain(rest, n, inner) ^ pushed
+        rest = _cut(z, n, bit, 1 if ones <= zeros else 0, out)
+        return _recursive_fill_chain(rest, n, inner, out)
 
     # Case 2: fill the crossing one degree down in the 0 facet, cap it with
     # its prism, and fill the two corrected sides separately in their facets.
     zero_side, one_side, crossing = _split(z, n, bit)
-    w0 = _recursive_fill_chain(_pin(crossing, n, bit, 0), n, inner)
-    plus_part = _recursive_fill_chain(frozenset(one_side) ^ _pin(w0, n, bit, 1), n, inner)
-    minus_part = _recursive_fill_chain(frozenset(zero_side) ^ w0, n, inner)
-    return _pin(w0, n, bit, None) ^ plus_part ^ minus_part
+    w0: set[int] = set()
+    _recursive_fill_chain(_pin(crossing, n, bit, None, 0), n, inner, w0)
+    out ^= _pin(w0, n, bit, 0, None)
+    _recursive_fill_chain(frozenset(one_side) ^ _pin(w0, n, bit, 0, 1), n, inner, out)
+    _recursive_fill_chain(frozenset(zero_side) ^ w0, n, inner, out)
 
 
 def recursive_fill(z: Chain) -> FillResult:
@@ -301,8 +300,9 @@ def recursive_fill(z: Chain) -> FillResult:
     if z.codes and z.n < z.k + 1:
         raise ValueError("no fillings exist above the top degree")
     certificate = fill_bound_power(z.k, z.norm) if z.codes else 0.0
-    filling = _recursive_fill_chain(z.codes, z.n, (1 << z.n) - 1)
-    return FillResult(Chain._of(z.n, z.k + 1, filling), "recursive", certificate)
+    filling: set[int] = set()
+    _recursive_fill_chain(z.codes, z.n, (1 << z.n) - 1, filling)
+    return FillResult(Chain._of(z.n, z.k + 1, frozenset(filling)), "recursive", certificate)
 
 
 def _lower_bound(codes: Iterable[int], n: int, budget: int) -> int:
@@ -363,7 +363,8 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         return FillResult(empty, "exact", 0, optimal=True, lower_bound=0)
 
     n = z.n
-    best_cells = _linear_fill_chain(z.codes, n, (1 << n) - 1)
+    best_cells: set[int] = set()
+    _linear_fill_chain(z.codes, n, (1 << n) - 1, best_cells)
     best_weight = len(best_cells)
     denominator = 2 * (z.k + 1)
     bound = -(-z.norm // denominator)
@@ -388,7 +389,7 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         if not residual:
             if weight < best_weight:
                 best_weight = weight
-                best_cells = frozenset(chosen)
+                best_cells = set(chosen)
         elif weight + -(-len(residual) // denominator) < best_weight:
             cells = _coboundary(min(residual), n)
             options = [cell for cell in cells if cell not in chosen and cell not in excluded]
@@ -410,5 +411,5 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
             excluded.difference_update(options)
         if not stack:
             break
-    best = Chain._of(n, z.k + 1, best_cells)
+    best = Chain._of(n, z.k + 1, frozenset(best_cells))
     return FillResult(best, "exact", best_weight, nodes <= node_budget, nodes, lower_bound=bound)

@@ -100,13 +100,13 @@ def verify_minimizer(
     n: int,
     k: int,
     *,
-    oracle_limit: int = 5,
+    oracle_limit: int = 12,
     node_budget: int = 1_000_000,
 ) -> dict:
     """Check the family member's defining properties; returns a report.
 
-    Structural checks run at any desk scale; the exact-oracle check is
-    skipped (None) when n exceeds ``oracle_limit``.
+    Structural checks run at any desk scale; the exact oracle, skipped (None)
+    when n exceeds ``oracle_limit``, proves each member up to 12 without a search.
     """
     z = minimizer_cycle(n, k)
     fill_value = minimizer_fill_value(n, k)

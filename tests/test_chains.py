@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -109,6 +110,21 @@ class TestBoundary:
         assert reference_boundary(z).norm == 0 and z.boundary().norm == 0
         broken = z + Chain(z.n, z.k, frozenset(z.sorted_faces()[::3]))
         assert broken.boundary() == reference_boundary(broken)
+
+    def test_matches_the_reference_in_wide_cubes(self):
+        # free coordinates in every byte of the packed free masks, the top one included
+        rng = random.Random(4)
+        for n in (9, 33, 64):
+            for k in (1, 3):
+                words = set()
+                for i in range(30):
+                    if i % 3:
+                        stars = rng.sample(range(n), k)
+                    else:  # the top coordinate free
+                        stars = [n - 1, *rng.sample(range(n - 1), k - 1)]
+                    words.add("".join("*" if j in stars else rng.choice("01") for j in range(n)))
+                z = Chain.from_words(*words)
+                assert z.boundary() == reference_boundary(z), (n, k)
 
     def test_vertex_chain_reference_is_the_empty_degree_minus_one_chain(self):
         z = Chain.from_words("010", "111")

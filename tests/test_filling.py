@@ -26,8 +26,10 @@ from cubefill import (
     recursive_fill,
     support_subcube,
 )
-from cubefill.faces import _bits
-from cubefill.filling import _lower_bound
+from cubefill.faces import _bits, _parse_word, _word
+from cubefill.filling import (
+    _components, _linear_fill_chain, _lower_bound, _pin, _slice_counts, _support_cell
+)
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
 CUBE_30_BOUNDARY = Chain.from_words("*" * 30).boundary()
@@ -256,6 +258,38 @@ class TestRecursiveFill:
         with pytest.raises(ValueError, match="not a cycle"):
             recursive_fill(Chain.from_words("**0"))
 
+    def test_component_fillings_are_summed_not_merged(self):
+        # Both cycles have components with no vertex in common whose linear
+        # fillings share cells.  random_cycle(6, 1, 0.1, 251) is a 58-edge
+        # component and a square, both of whose fillings hold 011*1*; three
+        # copies of it and two more squares sit at distinct values of four
+        # appended coordinates.  In random_cycle(7, 1, 0.05, 3375) the
+        # component filled later shares a cell it pushed across a cut.
+        pair = random_cycle(6, 1, 0.1, 251)
+        copies = Chain(10, 1)
+        for tail in ("0000", "1111", "0110"):
+            part = pair
+            for value in tail:
+                part = part.inject(part.n + 1, f"fixed-{value}")
+            copies = copies + part
+        for tail in ("1000", "0100"):
+            copies = copies + Chain.from_words("**0000" + tail).boundary()
+        for z, count in ((copies, 8), (random_cycle(7, 1, 0.05, 3375), 6)):
+            components = _components(z.codes, z.n)
+            assert len(components) == count
+            fillings = []
+            for component in components:
+                filling: set[int] = set()
+                _linear_fill_chain(component, z.n, _support_cell(component, z.n) >> z.n, filling)
+                fillings.append(frozenset(filling))
+            assert any(a & b for a, b in itertools.combinations(fillings, 2))
+            expected: frozenset[int] = frozenset()
+            for filling in fillings:
+                expected ^= filling
+            result = recursive_fill(z)
+            assert result.filling.codes == expected
+            assert result.filling.boundary() == z
+
 
 class TestExactFill:
     def test_single_cell(self):
@@ -462,6 +496,43 @@ class TestLowerBound:
         assert result.optimal
         assert result.nodes_explored == 0
         assert result.filling.norm == result.lower_bound == 35
+
+
+def random_codes(rng, n, size):
+    """Codes of random words over {0, 1, *} of length n, of mixed degrees,
+    with faces both free at and pinned to 1 at the top coordinate."""
+    words = {"".join(rng.choice("01*") for _ in range(n)) for _ in range(size)}
+    words |= {word[:-1] + top for word in sorted(words)[:3] for top in "*1"}
+    return frozenset(map(_parse_word, words))
+
+
+class TestSlicePasses:
+    def test_slice_counts_match_a_per_face_count(self):
+        rng = random.Random(9)
+        for n in (1, 7, 8, 9, 31, 32, 33, 63, 64):
+            full = (1 << n) - 1
+            for size in (1, 40):
+                z = random_codes(rng, n, size)
+                words = [_word(code, n) for code in z]
+                for live in (full, rng.getrandbits(n), rng.getrandbits(n) | 1 << n - 1):
+                    expected = [
+                        (1 << i, *(sum(w[i] == s for w in words) for s in "10*"))
+                        for i in range(n) if live >> i & 1
+                    ]
+                    assert _slice_counts(z, n, live) == expected, (n, size, live)
+
+    def test_xor_pin_matches_the_keep_put_formula(self):
+        rng = random.Random(10)
+        for n in (1, 9, 33, 64):
+            for i in (0, n // 2, n - 1):
+                bit = 1 << i
+                for state, value in itertools.permutations((0, 1, None), 2):
+                    symbol = "*" if state is None else str(state)
+                    words = {"".join(rng.choice("01*") for _ in range(n)) for _ in range(20)}
+                    codes = [_parse_word(w[:i] + symbol + w[i + 1:]) for w in words]
+                    put = bit << n if value is None else bit if value == 1 else 0
+                    expected = frozenset(code & ~(bit << n | bit) | put for code in codes)
+                    assert _pin(codes, n, bit, state, value) == expected, (n, i, state, value)
 
 
 class TestComponents:

@@ -154,19 +154,20 @@ class TestVerifyReport:
             assert report["fill_value"] == comb(n, k + 1)
 
     def test_large_instance_skips_oracle(self):
-        report = verify_minimizer(8, 2)
+        report = verify_minimizer(13, 2)
         assert report["ok"]
         assert report["checks"]["oracle_fill"] is None
         assert report["checks"]["linear_sharpness"] is True
 
     def test_oracle_limit_is_adjustable(self):
-        report = verify_minimizer(6, 4, oracle_limit=6)
+        assert verify_minimizer(6, 4, oracle_limit=5)["checks"]["oracle_fill"] is None
+        report = verify_minimizer(14, 2, oracle_limit=14)
         assert report["checks"]["oracle_fill"] is True
 
     def test_oracle_runs_above_five(self):
         # the slicing lower bound meets the linear seed, C(n, k+1), so the
         # exact search proves the member optimal without a search
-        report = verify_minimizer(12, 5, oracle_limit=12)
+        report = verify_minimizer(12, 5)
         assert report["ok"], report
         assert report["checks"]["oracle_fill"] is True
 
