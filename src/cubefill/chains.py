@@ -8,13 +8,14 @@ every operation here works on the codes; sums are symmetric differences.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
+from typing import NamedTuple
 
 from .faces import (
-    MAX_COORDINATES, Face, _columns, _degree_codes, _delete, _face, _insert, _parse_word, _split
+    MAX_COORDINATES, Face, _columns, _degree_codes, _delete, _face, _frozen, _insert,
+    _parse_word, _split,
 )
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
 _INJECT_BITS = {"fixed-0": (0, 0), "fixed-1": (0, 1), "free": (1, 0)}  # (star, one) put in
 
 
-@dataclass(frozen=True, init=False)
 class Chain:
     """A Z2 formal sum of k-cells of Q_n, identified with its support set.
 
@@ -35,9 +35,7 @@ class Chain:
     empty chain is nominal; degree -1 marks the empty boundary of a vertex chain.
     """
 
-    n: int
-    k: int
-    codes: frozenset[int]
+    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, n: int, k: int, support: frozenset[Face] = frozenset()) -> None:
         support = frozenset(support)
@@ -58,6 +56,14 @@ class Chain:
         chain = object.__new__(cls)
         chain.__dict__.update(n=n, k=k, codes=codes)
         return chain
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k, self.codes) == (other.n, other.k, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.codes))
 
     @classmethod
     def from_words(cls, *words: str, n: int | None = None, k: int | None = None) -> Chain:
@@ -167,8 +173,7 @@ class Chain:
         return f"Chain(n={self.n}, k={self.k}, norm={self.norm})"
 
 
-@dataclass(frozen=True)
-class SliceDecomposition:
+class SliceDecomposition(NamedTuple):
     """A chain split by one coordinate into z_plus, z_minus and z_zero."""
 
     coordinate: int

@@ -4,8 +4,8 @@ predicates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "BOUND_REL_TOL",
@@ -42,8 +42,7 @@ def c_constant(k: int) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class ConstantSet:
+class ConstantSet(NamedTuple):
     """The working constants for one degree.
 
     delta equals c_k (the degree-k growth constant divided by the factor

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import struct
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import comb
 
@@ -127,29 +126,46 @@ def _insert(code: int, n: int, pos: int, star: int, one: int) -> int:
     return free << (n + 1) | fixed & low | (fixed & ~low) << 1 | one << pos
 
 
+def _frozen(self: object, name: str, value: object = None) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 @total_ordering
-@dataclass(frozen=True, slots=True)
 class Face:
-    """One cell of Q_n.
+    """One cell of Q_n, an immutable value.
 
     ``free_mask`` marks the starred coordinates, ``fixed_bits`` holds the
     written bits of the determined coordinates (zero under the free mask).
     """
 
-    n: int
-    free_mask: int
-    fixed_bits: int
+    __slots__ = ("n", "free_mask", "fixed_bits")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_COORDINATES:
-            raise ValueError(f"dimension {self.n} outside [0, {MAX_COORDINATES}]")
-        full = (1 << self.n) - 1
-        if not 0 <= self.free_mask <= full:
+    def __init__(self, n: int, free_mask: int, fixed_bits: int) -> None:
+        if not 0 <= n <= MAX_COORDINATES:
+            raise ValueError(f"dimension {n} outside [0, {MAX_COORDINATES}]")
+        full = (1 << n) - 1
+        if not 0 <= free_mask <= full:
             raise ValueError("free mask has bits outside the coordinate range")
-        if not 0 <= self.fixed_bits <= full:
+        if not 0 <= fixed_bits <= full:
             raise ValueError("fixed bits have bits outside the coordinate range")
-        if self.free_mask & self.fixed_bits:
+        if free_mask & fixed_bits:
             raise ValueError("fixed bits overlap free coordinates")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "free_mask", free_mask)
+        object.__setattr__(self, "fixed_bits", fixed_bits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.free_mask, self.fixed_bits) == (other.n, other.free_mask, other.fixed_bits)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.free_mask, self.fixed_bits))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n, self.free_mask, self.fixed_bits)
 
     @property
     def dim(self) -> int:

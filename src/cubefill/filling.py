@@ -43,10 +43,10 @@ certificate n/2 * norm(z) still holds for the pairing.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from operator import or_
+from typing import NamedTuple
 
 from .chains import Chain
 from .constants import c_constant, constants_for
@@ -67,8 +67,7 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class FillResult:
+class FillResult(NamedTuple):
     """A filling plus provenance.
 
     ``bound_certificate`` is the value the strategy guarantees: an exact
@@ -372,6 +371,7 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         bound = _lower_bound(z.codes, n, node_budget + z.norm)
 
     cell_boundary = cache(partial(_boundary, n=n))
+    face_coboundary = cache(partial(_coboundary, n=n))
     residual = set(z.codes)
     chosen: set[int] = set()
     excluded: set[int] = set()
@@ -391,7 +391,7 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
                 best_weight = weight
                 best_cells = set(chosen)
         elif weight + -(-len(residual) // denominator) < best_weight:
-            cells = _coboundary(min(residual), n)
+            cells = face_coboundary(min(residual))
             options = [cell for cell in cells if cell not in chosen and cell not in excluded]
             stack.append((options, 0))
         # Back up to the deepest node with an untried cell and branch on it.

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from collections import Counter
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubefill import (
     Chain,
+    SliceDecomposition,
     enumerate_faces,
     format_chain_text,
     linear_fill,
@@ -301,3 +304,33 @@ class TestOneRepresentation:
             assert all(other == chain for other in same)
             assert {hash(other) for other in same} == {hash(chain)}
             assert len({chain, *same}) == 1
+
+
+class TestValueSemantics:
+    def test_equality_and_hash_go_by_value(self):
+        again = Chain.from_words("11*", "00*", "1*0", "0*1", "*11", "*00")
+        assert again == HEXAGON and again is not HEXAGON
+        assert hash(again) == hash(HEXAGON)
+        assert len({again, HEXAGON, Chain(3, 1)}) == 2
+        # the same (empty) support in another degree or cube is another chain
+        assert Chain(3, 1) != Chain(3, 2) != Chain(4, 2)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        z = Chain.from_words("*0", "*1", "0*", "1*")
+        with pytest.raises(AttributeError):
+            z.k = 2
+        with pytest.raises(AttributeError):
+            z.codes = frozenset()
+        with pytest.raises(AttributeError):
+            del z.n
+        assert (z.n, z.k, z.norm) == (2, 1, 4)
+
+    def test_copies_and_pickles_are_equal(self):
+        copies = [copy.copy(HEXAGON), copy.deepcopy(HEXAGON), pickle.loads(pickle.dumps(HEXAGON))]
+        assert all(other == HEXAGON for other in copies)
+
+    def test_slice_decomposition_field_order(self):
+        fields = ("coordinate", "plus_value", "z_plus", "z_minus", "z_zero")
+        assert SliceDecomposition._fields == fields
+        cut = HEXAGON.slice(2, 0)
+        assert tuple(cut) == (2, 0, cut.z_plus, cut.z_minus, cut.z_zero)

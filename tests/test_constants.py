@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubefill import (
+    ConstantSet,
     c_constant,
     check_absorbed_cost,
     check_split_overhead,
@@ -54,6 +55,11 @@ class TestConstantSet:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             constants_for(0)
+
+    def test_field_order(self):
+        assert ConstantSet._fields == ("k", "c", "epsilon", "delta", "L", "epsilon_window")
+        cs = constants_for(2)
+        assert tuple(cs) == (2, cs.c, cs.epsilon, cs.delta, cs.L, cs.epsilon_window)
 
 
 class TestLeqWithTolerance:

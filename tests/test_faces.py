@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -163,3 +165,30 @@ class TestCoordinateSurgery:
             f.insert_coordinate(4, "0")
         with pytest.raises(ValueError):
             f.insert_coordinate(1, "x")
+
+
+class TestValueSemantics:
+    def test_equality_and_hash_go_by_value(self):
+        f, g = Face(3, 1, 0), parse_face("*00")
+        assert f == g and f is not g
+        assert hash(f) == hash(g)
+        assert len({f, g, Face(3, 1, 2)}) == 2
+        assert f != Face(4, 1, 0)
+
+    def test_never_equals_a_tuple(self):
+        assert Face(3, 1, 0) != (3, 1, 0)
+        assert (3, 1, 0) != Face(3, 1, 0)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        f = Face(3, 1, 0)
+        with pytest.raises(AttributeError):
+            f.n = 4
+        with pytest.raises(AttributeError):
+            f.extra = 1
+        with pytest.raises(AttributeError):
+            del f.fixed_bits
+        assert (f.n, f.free_mask, f.fixed_bits) == (3, 1, 0)
+
+    def test_copies_and_pickles_are_equal(self):
+        f = parse_face("1*0*")
+        assert copy.copy(f) == copy.deepcopy(f) == pickle.loads(pickle.dumps(f)) == f

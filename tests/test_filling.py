@@ -8,6 +8,7 @@ import pytest
 
 from cubefill import (
     DEFAULT_NODE_BUDGET,
+    FillResult,
     Chain,
     c_constant,
     connected_components,
@@ -622,3 +623,17 @@ class TestBounds:
             fill_bound_linear(2, 3, 4)
         with pytest.raises(ValueError):
             fill_bound_power(0, 4)
+
+
+class TestFillResult:
+    def test_defaults(self):
+        result = FillResult(Chain(3, 1), "linear", Fraction(0))
+        assert (result.optimal, result.nodes_explored, result.lower_bound) == (False, 0, None)
+        assert FillResult._fields == (
+            "filling", "strategy", "bound_certificate", "optimal", "nodes_explored", "lower_bound"
+        )
+
+    def test_constructive_engines_leave_the_defaults(self):
+        z = minimizer_cycle(4, 1)
+        for engine in (linear_fill, recursive_fill):
+            assert engine(z)[3:] == (False, 0, None)

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import cubefill
 
@@ -29,3 +32,14 @@ def test_package_reexports_each_module_name_itself():
     assert sorted(cubefill.__all__) == sorted(exported)
     for name, module in exported.items():
         assert getattr(cubefill, name) is getattr(module, name), (name, module.__name__)
+
+
+def test_cli_starts_without_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: ~12 ms of every CLI start
+    parent = os.path.dirname(os.path.dirname(os.path.abspath(cubefill.__file__)))
+    probe = "import cubefill.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {parent!r}); {probe}"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
