@@ -32,7 +32,10 @@ cell of its live coordinates: a facet or a support subcube of Q_n is
 itself a cell of Q_n, so a cut pins one live coordinate in place instead
 of renumbering into a smaller cube.  Each level chooses its cut from
 per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing,
-read off packed bit columns.  A side moves across a cut by one XOR, its
+read off packed bit columns.  The same counts give the support cell: the
+coordinates where faces sit on both sides.  The linear engine counts only
+those and the lowest other live coordinate, which stands for all the
+coordinates that do not vary.  A side moves across a cut by one XOR, its
 faces sharing one state there, and the filling is summed into one set.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
@@ -45,6 +48,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, partial, reduce
+from itertools import compress
 from operator import or_
 from typing import NamedTuple
 
@@ -165,18 +169,28 @@ def _linear_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -> N
     k = (next(iter(z)) >> n).bit_count()
     if k == 0:
         return _fill_zero_cycle(z, n, out)
-    d = live.bit_count()
-    if d == k + 1:
-        return _top_cell_fill(z, n, live, out)
     # The cut minimizing the exact inductive cost in the d-dimensional live
     # cell, pushed + (d-k-1)/(2(k+1)) * (ones + zeros), scaled by 2(k+1) to
-    # stay in integers.  Ties go to the lowest coordinate, then plus = 1.
-    _, bit, flip = min(
-        (2 * (k + 1) * pushed + (d - k - 1) * (ones + zeros), bit, flip)
-        for bit, ones, zeros, _ in _slice_counts(z, n, live)
-        for flip, pushed in ((0, ones), (1, zeros))
-    )
-    _linear_fill_chain(_cut(z, n, bit, 1 - flip, out), n, live & ~bit, out)
+    # stay in integers, pushes the smaller side; ties go to the lowest
+    # coordinate, then plus = 1.  The live coordinates where z does not vary
+    # all cost the same and push nothing, so the lowest stands for them all,
+    # and a cut makes no coordinate vary: each level counts the coordinates
+    # that varied at the one before, plus that lowest one.
+    varying = live
+    while z:
+        d = live.bit_count()
+        if d == k + 1:
+            return _top_cell_fill(z, n, live, out)
+        outside = live & ~varying
+        counts = _slice_counts(z, n, varying | outside & -outside)
+        _, bit, flip = min(
+            (2 * (k + 1) * min(ones, zeros) + (d - k - 1) * (ones + zeros), bit, ones > zeros)
+            for bit, ones, zeros, _ in counts
+        )
+        varying = sum(b for b, ones, zeros, _ in counts if ones and zeros)
+        live &= ~bit
+        varying &= live
+        z = _cut(z, n, bit, 1 - flip, out)
 
 
 def linear_fill(z: Chain) -> FillResult:
@@ -191,27 +205,23 @@ def linear_fill(z: Chain) -> FillResult:
 
 
 def _components(z: frozenset[int], n: int) -> list[frozenset[int]]:
-    by_boundary: dict[int, list[int]] = {}
-    for code in z:
-        for g in _boundary(code, n):
-            by_boundary.setdefault(g, []).append(code)
-    components: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for code in sorted(z):
-        if code in seen:
-            continue
-        block = {code}
-        queue = [code]
-        while queue:
-            current = queue.pop()
-            for g in _boundary(current, n):
-                for neighbour in by_boundary[g]:
-                    if neighbour not in block:
-                        block.add(neighbour)
-                        queue.append(neighbour)
-        seen |= block
-        components.append(frozenset(block))
-    return components
+    """Faces linked by shared facets, merged by size, in order of least face."""
+    codes = sorted(z)
+    frees = list(map(n.__rrshift__, codes))
+    group = {code: [code] for code in codes}
+    owner: dict[int, int] = {}  # facet -> the first face seen with it
+    for bit, column in _columns(frees, reduce(or_, frees, 0)):
+        free = list(compress(codes, column))
+        for put in (bit << n, bit << n | bit):
+            for code, first in zip(free, map(owner.setdefault, map(put.__xor__, free), free)):
+                small, large = group[code], group[first]
+                if small is not large:
+                    if len(small) > len(large):
+                        small, large = large, small
+                    large += small
+                    group.update(dict.fromkeys(small, large))
+    # one entry per group, at its least face
+    return [frozenset(block) for block in {id(block): block for block in group.values()}.values()]
 
 
 def connected_components(z: Chain) -> list[Chain]:
@@ -245,8 +255,6 @@ def _recursive_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -
     if not z:
         return
     k = (next(iter(z)) >> n).bit_count()
-    if live.bit_count() == k + 1:
-        return _top_cell_fill(z, n, live, out)
     if k == 1:
         # A connected 1-cycle of norm 2m fits in an m-dimensional cell, where
         # the linear certificate is already quadratic in the norm.
@@ -254,16 +262,17 @@ def _recursive_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -
             _linear_fill_chain(component, n, _support_cell(component, n) >> n, out)
         return
 
-    # Coordinates nothing crosses, with everything on one side: drop them
-    # from the live cell before any case analysis.
-    cell = _support_cell(z, n) >> n
-    if cell != live:
-        return _recursive_fill_chain(z, n, cell, out)
+    # Coordinates with everything on one side (so, on a cycle, nothing
+    # crosses them): drop them from the live cell before any case analysis.
+    counts = [count for count in _slice_counts(z, n, live) if count[1] and count[2]]
+    live = sum(count[0] for count in counts)
+    if len(counts) == k + 1:
+        return _top_cell_fill(z, n, live, out)
 
     consts = constants_for(k)
     threshold = consts.epsilon * float(len(z)) ** ((k - 1) / k)
     candidates: list[tuple[int, int, int, int, int]] = []
-    for bit, ones, zeros, crossing in _slice_counts(z, n, live):
+    for bit, ones, zeros, crossing in counts:
         if crossing >= threshold:
             continue
         cheap = min(ones, zeros) <= consts.delta * float(crossing) ** (k / (k - 1))

@@ -29,7 +29,8 @@ from cubefill import (
 )
 from cubefill.faces import _bits, _parse_word, _word
 from cubefill.filling import (
-    _components, _linear_fill_chain, _lower_bound, _pin, _slice_counts, _support_cell
+    _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin, _slice_counts,
+    _support_cell, _top_cell_fill,
 )
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
@@ -178,6 +179,97 @@ class TestLinearFill:
     def test_degree_zero_odd_vertex_set_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             linear_fill(Chain.from_words("000", "011", "101"))
+
+
+def reference_linear_fill_chain(z, n, live, out):
+    """The linear engine as one recursion per level, counting every live coordinate."""
+    if not z:
+        return
+    k = (next(iter(z)) >> n).bit_count()
+    if k == 0:
+        return _fill_zero_cycle(z, n, out)
+    d = live.bit_count()
+    if d == k + 1:
+        return _top_cell_fill(z, n, live, out)
+    # The cut minimizing the exact inductive cost in the d-dimensional live
+    # cell, pushed + (d-k-1)/(2(k+1)) * (ones + zeros), scaled by 2(k+1) to
+    # stay in integers.  Ties go to the lowest coordinate, then plus = 1.
+    _, bit, flip = min(
+        (2 * (k + 1) * pushed + (d - k - 1) * (ones + zeros), bit, flip)
+        for bit, ones, zeros, _ in _slice_counts(z, n, live)
+        for flip, pushed in ((0, ones), (1, zeros))
+    )
+    reference_linear_fill_chain(_cut(z, n, bit, 1 - flip, out), n, live & ~bit, out)
+
+
+class TestLinearEngineAgainstItsReference:
+    """The engine counts only the coordinates that still vary, plus the lowest
+    other live one; the reference counts every live coordinate at every level."""
+
+    @staticmethod
+    def assert_same_filling(z):
+        full = (1 << z.n) - 1
+        got, expected = set(), set()
+        _linear_fill_chain(z.codes, z.n, full, got)
+        reference_linear_fill_chain(z.codes, z.n, full, expected)
+        assert got == expected, z
+
+    def test_random_cycles(self):
+        for n in range(3, 9):
+            for k in range(min(n, 4)):
+                for seed in range(3):
+                    self.assert_same_filling(random_cycle(n, k, (0.02, 0.06, 0.15)[seed], seed))
+
+    def test_lifted_sums(self):
+        for n in (33, 64):
+            for seed, k in enumerate((1, 2, 3)):
+                z = lift(random_cycle(6, k, 0.05, seed), n, seed) + lift(
+                    minimizer_cycle(k + 2, k), n, seed + 10
+                )
+                self.assert_same_filling(z)
+
+    def test_cuts_that_push_nothing(self, monkeypatch):
+        cuts = []
+
+        def recording(z, n, bit, *rest):
+            cuts.append(bit)
+            return _cut(z, n, bit, *rest)
+
+        monkeypatch.setattr("cubefill.filling._cut", recording)
+        # both squares lie in the facet where coordinate 1 is 0, on opposite
+        # sides of coordinate 2: the best first cut is coordinate 1, which
+        # does not vary, so nothing is pushed across it
+        squares = Chain.from_words("00**").boundary() + Chain.from_words("01**").boundary()
+        self.assert_same_filling(squares)
+        assert cuts[0] == 1
+        squares = Chain.from_words("000**").boundary() + Chain.from_words("1**00").boundary()
+        self.assert_same_filling(squares)
+        # a 1-cycle in the same facet of Q_6: the first cut pushes one edge
+        # across coordinate 5, and then coordinate 1, outside the counted
+        # mask since the first level, is the best cut
+        cuts.clear()
+        self.assert_same_filling(Chain.from_words(
+            "0*0111", "0*1011", "00*110", "00011*", "001*11", "00111*",
+            "01*100", "0101*0", "01011*", "011*10", "01101*", "0111*0",
+        ))
+        assert cuts[:2] == [1 << 4, 1]
+
+    def test_top_cell_boundaries(self):
+        for word in ("**", "*0*", "1**0", "0*1*0*", "***1", "01**0*1*"):
+            self.assert_same_filling(Chain.from_words(word).boundary())
+
+    def test_counts_only_the_varying_coordinates_after_the_first_level(self, monkeypatch):
+        masks = []
+
+        def recording(z, n, live):
+            masks.append(live)
+            return _slice_counts(z, n, live)
+
+        monkeypatch.setattr("cubefill.filling._slice_counts", recording)
+        linear_fill(lift(minimizer_cycle(4, 2), 64, 1))
+        assert masks[0] == (1 << 64) - 1
+        # four coordinates vary, and the lowest other live one stands for the rest
+        assert len(masks) > 1 and all(mask.bit_count() <= 5 for mask in masks[1:])
 
 
 class TestRecursiveFill:
@@ -559,6 +651,52 @@ class TestComponents:
         small = lift(HEXAGON, 48, 8)
         large = lift(minimizer_cycle(4, 1), 48, 7)
         assert sorted(connected_components(small + large), key=lambda c: c.norm) == [small, large]
+
+    @staticmethod
+    def search_components(z):
+        """The classes of faces linked by shared facets, by a search through
+        ``Face.boundary``, started from each unvisited face in face order."""
+        faces = sorted(z.support)
+        by_facet = {}
+        for face in faces:
+            for facet in face.boundary():
+                by_facet.setdefault(facet, []).append(face)
+        seen, classes = set(), []
+        for face in faces:
+            if face in seen:
+                continue
+            block, queue = {face}, [face]
+            while queue:
+                for facet in queue.pop().boundary():
+                    for neighbour in by_facet[facet]:
+                        if neighbour not in block:
+                            block.add(neighbour)
+                            queue.append(neighbour)
+            seen |= block
+            classes.append(frozenset(member.code for member in block))
+        return classes
+
+    def test_union_by_size_matches_a_search(self):
+        rng = random.Random(12)
+        chains = [Chain(5, 2), dumbbell(), random_cycle(6, 1, 0.03, 4)]
+        for n in (3, 9, 33, 64):
+            for k in range(4):
+                small = min(n, 5)
+                pool = enumerate_faces(small, k)
+                for density in (0.1, 0.3):
+                    picked = frozenset(face for face in pool if rng.random() < density)
+                    chains.append(lift(Chain(small, k, picked), n, rng.randrange(100)))
+        # in the dumbbell the tube's edges meet the sides' 2-cycles, so some
+        # facets are shared by three or more faces
+        shared = {}
+        for face in dumbbell().support:
+            for facet in face.boundary():
+                shared[facet] = shared.get(facet, 0) + 1
+        assert max(shared.values()) >= 3
+        for z in chains:
+            components = _components(z.codes, z.n)
+            assert components == self.search_components(z), z
+            assert [min(block) for block in components] == sorted(map(min, components))
 
 
 def inside(face, cell):
