@@ -8,13 +8,10 @@ every operation here works on the codes; sums are symmetric differences.
 from __future__ import annotations
 
 import random
-from functools import reduce
-from itertools import compress
-from operator import or_
 from typing import NamedTuple
 
 from .faces import (
-    MAX_COORDINATES, Face, _columns, _degree_codes, _delete, _face, _frozen, _insert,
+    MAX_COORDINATES, Face, _degree_codes, _delete, _face, _free_at, _frozen, _insert,
     _parse_word, _split,
 )
 
@@ -111,12 +108,11 @@ class Chain:
 
     def boundary(self) -> Chain:
         """Z2 sum of the face boundaries, one degree down."""
-        n, codes = self.n, list(self.codes)
-        frees = list(map(n.__rrshift__, codes))
+        n = self.n
         odd: set[int] = set()
         # faces free at a coordinate drop it in two ways, one XOR each
-        for bit, column in _columns(frees, reduce(or_, frees, 0)):
-            free = list(compress(codes, column))
+        for bit, free in _free_at(list(self.codes), n):
+            free = list(free)
             odd ^= set(map((bit << n).__xor__, free))
             odd ^= set(map((bit << n | bit).__xor__, free))
         return Chain._of(n, max(self.k - 1, -1), frozenset(odd))

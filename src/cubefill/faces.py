@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 import struct
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache, total_ordering
+from functools import reduce, total_ordering
 from math import comb
+from operator import or_
 
 __all__ = [
     "MAX_COORDINATES",
@@ -52,6 +53,14 @@ def _columns(values: Sequence[int], mask: int) -> Iterator[tuple[int, bytes]]:
     for bit in _bits(mask):
         at, shift = divmod(bit.bit_length() - 1, 8)
         yield bit, packed[at::8].translate(_BIT_SET[shift])
+
+
+def _free_at(codes: Sequence[int], n: int) -> Iterator[tuple[int, Iterator[int]]]:
+    """Per coordinate some code of Q_n leaves free, lowest first: its bit and those
+    codes, picked only as they are read."""
+    frees = list(map(n.__rrshift__, codes))
+    for bit, column in _columns(frees, reduce(or_, frees, 0)):
+        yield bit, itertools.compress(codes, column)
 
 
 def _boundary(code: int, n: int) -> frozenset[int]:
@@ -252,7 +261,6 @@ def _degree_codes(n: int, k: int) -> Iterator[int]:
             fixed = (fixed - rest) & rest
 
 
-@lru_cache(maxsize=None)
 def enumerate_faces(n: int, k: int) -> tuple[Face, ...]:
     """All k-cells of Q_n in face order."""
     if not 0 <= k <= n:

@@ -32,11 +32,13 @@ cell of its live coordinates: a facet or a support subcube of Q_n is
 itself a cell of Q_n, so a cut pins one live coordinate in place instead
 of renumbering into a smaller cube.  Each level chooses its cut from
 per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing,
-read off packed bit columns.  The same counts give the support cell: the
-coordinates where faces sit on both sides.  The linear engine counts only
-those and the lowest other live coordinate, which stands for all the
-coordinates that do not vary.  A side moves across a cut by one XOR, its
-faces sharing one state there, and the filling is summed into one set.
+read off packed bit columns.  The same counts give the support cell, here
+and in ``support_subcube``: the coordinates something crosses or where
+faces sit on both sides.  The linear engine counts only those and the
+lowest other live coordinate, standing for all that do not vary.  A side
+of a cut, one state there, moves across by one XOR; fillings are summed
+into one set.  Components and the slicing lower bound take the faces free
+at each coordinate from the walk boundaries use (``faces._free_at``).
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -48,13 +50,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import compress
 from operator import or_
 from typing import NamedTuple
 
 from .chains import Chain
 from .constants import c_constant, constants_for
-from .faces import Face, _bits, _boundary, _coboundary, _columns, _face, _split, _word
+from .faces import Face, _bits, _boundary, _coboundary, _columns, _face, _free_at, _split, _word
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -196,8 +197,6 @@ def _linear_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -> N
 def linear_fill(z: Chain) -> FillResult:
     """Fill a cycle within the certificate (n-k)/(2(k+1)) * norm(z)."""
     _require_cycle(z)
-    if z.codes and z.n < z.k + 1:
-        raise ValueError("no fillings exist above the top degree")
     certificate = fill_bound_linear(z.n, z.k, z.norm) if z.codes else Fraction(0)
     filling: set[int] = set()
     _linear_fill_chain(z.codes, z.n, (1 << z.n) - 1, filling)
@@ -207,11 +206,10 @@ def linear_fill(z: Chain) -> FillResult:
 def _components(z: frozenset[int], n: int) -> list[frozenset[int]]:
     """Faces linked by shared facets, merged by size, in order of least face."""
     codes = sorted(z)
-    frees = list(map(n.__rrshift__, codes))
     group = {code: [code] for code in codes}
     owner: dict[int, int] = {}  # facet -> the first face seen with it
-    for bit, column in _columns(frees, reduce(or_, frees, 0)):
-        free = list(compress(codes, column))
+    for bit, free in _free_at(codes, n):
+        free = list(free)
         for put in (bit << n, bit << n | bit):
             for code, first in zip(free, map(owner.setdefault, map(put.__xor__, free), free)):
                 small, large = group[code], group[first]
@@ -229,18 +227,6 @@ def connected_components(z: Chain) -> list[Chain]:
     return [Chain._of(z.n, z.k, block) for block in _components(z.codes, z.n)]
 
 
-def _support_cell(z: Iterable[int], n: int) -> int:
-    full = (1 << n) - 1
-    free_any = ones = zeros = 0
-    for code in z:
-        free, fixed = code >> n, code & full
-        free_any |= free
-        ones |= fixed
-        zeros |= ~(free | fixed)
-    active = free_any | ones & zeros
-    return active << n | ones & ~active
-
-
 def support_subcube(z: Chain) -> Face:
     """The smallest cell of Q_n holding every face of z.
 
@@ -248,7 +234,10 @@ def support_subcube(z: Chain) -> Face:
     the support takes both pinned values there.  The empty chain gets the
     vertex 0...0.
     """
-    return _face(_support_cell(z.codes, z.n), z.n)
+    counts = _slice_counts(z.codes, z.n, (1 << z.n) - 1)
+    active = sum(bit for bit, ones, zeros, crossing in counts if crossing or ones and zeros)
+    on_one = sum(bit for bit, ones, _, _ in counts if ones)
+    return _face(active << z.n | on_one & ~active, z.n)
 
 
 def _recursive_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -> None:
@@ -257,9 +246,11 @@ def _recursive_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -
     k = (next(iter(z)) >> n).bit_count()
     if k == 1:
         # A connected 1-cycle of norm 2m fits in an m-dimensional cell, where
-        # the linear certificate is already quadratic in the norm.
+        # the linear certificate is already quadratic in the norm.  That cell
+        # is where its edges are free: in a connected chain, faces on opposite
+        # sides of a coordinate are joined through a face free there.
         for component in _components(z, n):
-            _linear_fill_chain(component, n, _support_cell(component, n) >> n, out)
+            _linear_fill_chain(component, n, reduce(or_, map(n.__rrshift__, component)), out)
         return
 
     # Coordinates with everything on one side (so, on a cycle, nothing
@@ -305,8 +296,6 @@ def recursive_fill(z: Chain) -> FillResult:
     _require_cycle(z)
     if z.codes and z.k < 1:
         raise ValueError("degree-0 cycles are outside the power-law regime; use linear_fill")
-    if z.codes and z.n < z.k + 1:
-        raise ValueError("no fillings exist above the top degree")
     certificate = fill_bound_power(z.k, z.norm) if z.codes else 0.0
     filling: set[int] = set()
     _recursive_fill_chain(z.codes, z.n, (1 << z.n) - 1, filling)
@@ -337,9 +326,9 @@ def _lower_bound(codes: Iterable[int], n: int, budget: int) -> int:
             )
             return -(-sum(nearest) // 2)
         total = 0
-        for bit in _bits(reduce(or_, z) >> n):
+        for bit, free in _free_at(z, n):
             if cut | bit not in memo and len(memo) < budget:
-                memo[cut | bit] = bound([c ^ bit << n for c in z if c >> n & bit], cut | bit)
+                memo[cut | bit] = bound(list(map((bit << n).__xor__, free)), cut | bit)
             total += memo.get(cut | bit, 0)
         return max(-(-len(z) // (2 * (k + 1))), -(-total // (k + 1)))
 

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .chains import Chain
 from .faces import MAX_COORDINATES, Face
-from .filling import exact_fill, linear_fill
+from .filling import DEFAULT_NODE_BUDGET, exact_fill, linear_fill
 
 __all__ = [
     "minimizer_member",
@@ -101,7 +101,7 @@ def verify_minimizer(
     k: int,
     *,
     oracle_limit: int = 12,
-    node_budget: int = 1_000_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict:
     """Check the family member's defining properties; returns a report.
 

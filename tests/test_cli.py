@@ -271,6 +271,33 @@ def test_fill_report_on_a_non_cycle(non_cycle_file, capsys, strategy, budget):
     assert not (non_cycle_file.parent / "broken.chain.fill").exists()
 
 
+def test_verify_text_report_lists_the_boundary_on_one_line(non_cycle_file, capsys):
+    assert main(["verify", str(non_cycle_file)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "  boundary_faces: " + " ".join(NON_CYCLE_BOUNDARY) in lines
+
+
+@pytest.mark.parametrize(
+    "z, options, message",
+    [
+        (HEXAGON, ["--strategy", "exact", "--budget", "0"], "node budget must be positive"),
+        (
+            Chain.from_words("00", "11"),
+            ["--strategy", "recursive"],
+            "degree-0 cycles are outside the power-law regime; use linear_fill",
+        ),
+    ],
+)
+def test_fill_report_on_a_refused_cycle(tmp_path, capsys, z, options, message):
+    path = tmp_path / "z.chain"
+    write_chain(z, path)
+    code, report = run_json(capsys, ["fill", str(path), *options, "--json"])
+    assert code == EXIT_INVALID
+    assert report["status"] == "invalid-input"
+    assert report["results"] == {"error": message}
+    assert not (tmp_path / "z.chain.fill").exists()
+
+
 @pytest.mark.parametrize("command", ["fill", "verify"])
 def test_undecodable_file_is_invalid(tmp_path, capsys, command):
     path = tmp_path / "binary.chain"

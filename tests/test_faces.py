@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -134,6 +136,21 @@ class TestEnumerationAndRank:
         for n in range(8):
             for k in range(n + 1):
                 assert len(enumerate_faces(n, k)) == face_count(n, k)
+
+    def test_enumeration_keeps_nothing_once_dropped(self):
+        # (10, 5), 8,064 faces, is a shape no other test enumerates
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            faces = enumerate_faces(10, 5)
+            assert len(faces) == face_count(10, 5)
+            del faces
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
     def test_enumeration_is_in_face_order(self):
         for n in range(1, 6):

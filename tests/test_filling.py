@@ -3,6 +3,8 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -27,10 +29,10 @@ from cubefill import (
     recursive_fill,
     support_subcube,
 )
-from cubefill.faces import _bits, _parse_word, _word
+from cubefill.faces import Face, _bits, _free_at, _parse_word, _word
 from cubefill.filling import (
     _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin, _slice_counts,
-    _support_cell, _top_cell_fill,
+    _top_cell_fill,
 )
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
@@ -179,6 +181,13 @@ class TestLinearFill:
     def test_degree_zero_odd_vertex_set_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             linear_fill(Chain.from_words("000", "011", "101"))
+
+    def test_lone_vertex_of_q0_rejected(self):
+        # the one nonempty cycle of top degree: a single vertex, odd in size
+        z = Chain(0, 0, frozenset({Face(0, 0, 0)}))
+        assert z.is_cycle()
+        with pytest.raises(ValueError, match="a vertex chain of odd size has no filling"):
+            linear_fill(z)
 
 
 def reference_linear_fill_chain(z, n, live, out):
@@ -373,7 +382,8 @@ class TestRecursiveFill:
             fillings = []
             for component in components:
                 filling: set[int] = set()
-                _linear_fill_chain(component, z.n, _support_cell(component, z.n) >> z.n, filling)
+                cell = support_subcube(Chain._of(z.n, z.k, component))
+                _linear_fill_chain(component, z.n, cell.free_mask, filling)
                 fillings.append(frozenset(filling))
             assert any(a & b for a, b in itertools.combinations(fillings, 2))
             expected: frozenset[int] = frozenset()
@@ -614,6 +624,23 @@ class TestSlicePasses:
                     ]
                     assert _slice_counts(z, n, live) == expected, (n, size, live)
 
+    def test_free_at_matches_a_per_face_filter(self):
+        rng = random.Random(10)
+        assert list(_free_at([], 5)) == []
+        for n in range(1, 65):
+            for size in (1, 3, 40):
+                z = random_codes(rng, n, size)
+                codes = list(z)
+                expected = [
+                    (1 << i, [code for code in codes if code >> n >> i & 1])
+                    for i in range(n) if any(code >> n >> i & 1 for code in codes)
+                ]
+                got = [(bit, list(free)) for bit, free in _free_at(codes, n)]
+                assert got == expected, (n, size)
+        top = [1 << 63 << 64, 1 << 64 | 1 << 63]
+        got = [(bit, list(free)) for bit, free in _free_at(top, 64)]
+        assert got == [(1, [top[1]]), (1 << 63, [top[0]])]
+
     def test_xor_pin_matches_the_keep_put_formula(self):
         rng = random.Random(10)
         for n in (1, 9, 33, 64):
@@ -729,6 +756,62 @@ class TestSupportSubcube:
 
     def test_empty_chain_gets_the_origin(self):
         assert support_subcube(Chain(4, 1)) == parse_face("0000")
+
+    def test_matches_the_per_face_rule(self):
+        rng = random.Random(13)
+        for n in range(1, 65):
+            assert support_subcube(Chain(n, 1)) == _face_of(per_face_support_cell(Chain(n, 1)), n)
+            for _ in range(16):
+                z = random_chain(rng, n, rng.randint(0, min(4, n)), rng.randint(1, 12))
+                assert support_subcube(z) == _face_of(per_face_support_cell(z), n), z.codes
+
+    def test_connected_one_chains_are_free_wherever_they_vary(self):
+        # the rule the recursive engine uses for each component of a 1-cycle
+        cycles = [random_cycle(n, 1, 0.02, seed) for n in (6, 8, 9) for seed in range(8)]
+        cycles += [lift(z, 40, seed) for seed, z in enumerate(cycles[:12])]
+        components = 0
+        for z in cycles:
+            for component in connected_components(z):
+                free = reduce(or_, (face.free_mask for face in component.support))
+                assert support_subcube(component).free_mask == free
+                components += 1
+        assert components > len(cycles)
+        # on a whole cycle the rule fails: two squares in opposite corners
+        # vary in coordinates 3 and 4, which neither frees
+        z = Chain.from_words("**00", "**11").boundary()
+        assert support_subcube(z) == parse_face("****")
+        assert reduce(or_, (face.free_mask for face in z.support)) == 0b0011
+
+
+def _face_of(code, n):
+    return Face(n, *divmod(code, 1 << n))
+
+
+def per_face_support_cell(z):
+    """The support cell found one face at a time: active where some face is
+    free or both pinned values occur, else pinned to the value all faces take."""
+    n, full = z.n, (1 << z.n) - 1
+    free_any = ones = zeros = 0
+    for code in z.codes:
+        free, fixed = code >> n, code & full
+        free_any |= free
+        ones |= fixed
+        zeros |= full & ~(free | fixed)
+    active = free_any | ones & zeros
+    return active << n | ones & ~active
+
+
+def random_chain(rng, n, k, size):
+    """Distinct k-cells of Q_n, cycle or not, around a random vertex: free within
+    a few coordinates and varying in a few others, so most coordinates stay pinned."""
+    base = rng.getrandbits(n)
+    pool = rng.sample(range(n), min(n, k + rng.randrange(3)))
+    spread = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+    codes = set()
+    for _ in range(size):
+        free = sum(1 << i for i in rng.sample(pool, k))
+        codes.add(free << n | (base ^ rng.getrandbits(n) & spread) & ~free)
+    return Chain._of(n, k, frozenset(codes))
 
 
 def test_fillings_stay_inside_the_support_cell():
