@@ -185,12 +185,6 @@ class Face:
         """The int ``free_mask << n | fixed_bits`` the library works on."""
         return self.free_mask << self.n | self.fixed_bits
 
-    def value_at(self, coordinate: int) -> str:
-        """The symbol at a 1-based coordinate: '0', '1' or '*'."""
-        if not 1 <= coordinate <= self.n:
-            raise ValueError(f"coordinate {coordinate} outside [1, {self.n}]")
-        return _word(self.code, self.n)[coordinate - 1]
-
     def boundary(self) -> frozenset[Face]:
         """The 2k cells one dimension down, one per way of pinning a star."""
         return frozenset(_face(code, self.n) for code in _boundary(self.code, self.n))
@@ -198,21 +192,6 @@ class Face:
     def coboundary(self) -> frozenset[Face]:
         """The n-k cells one dimension up, one per way of freeing a coordinate."""
         return frozenset(_face(code, self.n) for code in _coboundary(self.code, self.n))
-
-    def delete_coordinate(self, coordinate: int) -> Face:
-        """Drop a 1-based coordinate, renumbering the ones above it down."""
-        if not 1 <= coordinate <= self.n:
-            raise ValueError(f"coordinate {coordinate} outside [1, {self.n}]")
-        return _face(_delete(self.code, self.n, coordinate - 1), self.n - 1)
-
-    def insert_coordinate(self, coordinate: int, state: str) -> Face:
-        """Insert a coordinate at a 1-based position as '0', '1' or '*'."""
-        if not 1 <= coordinate <= self.n + 1:
-            raise ValueError(f"coordinate {coordinate} outside [1, {self.n + 1}]")
-        if state not in ("0", "1", "*"):
-            raise ValueError(f"state must be '0', '1' or '*', got {state!r}")
-        code = _insert(self.code, self.n, coordinate - 1, state == "*", state == "1")
-        return Face(self.n + 1, *divmod(code, 1 << (self.n + 1)))
 
     def __lt__(self, other: object) -> bool:
         # Face order: by degree, then by code (colex on the free set, then fixed bits).

@@ -115,14 +115,6 @@ def fill_bound_power(k: int, norm: int) -> float:
     return c_constant(k) * float(norm) ** ((k + 1) / k)
 
 
-def _top_cell_fill(z: frozenset[int], n: int, live: int, out: set[int]) -> None:
-    # In a (k+1)-cell the only nonempty k-cycle is the boundary of the cell.
-    cell = live << n | next(iter(z)) & ~live & ((1 << n) - 1)
-    if z != _boundary(cell, n):
-        raise ValueError("chain is not a cycle")
-    out ^= {cell}
-
-
 def _fill_zero_cycle(z: frozenset[int], n: int, out: set[int]) -> None:
     """Pair up vertices and connect each pair by a monotone edge path."""
     if len(z) % 2:
@@ -181,7 +173,9 @@ def _linear_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -> N
     while z:
         d = live.bit_count()
         if d == k + 1:
-            return _top_cell_fill(z, n, live, out)
+            # the only nonempty k-cycle in a (k+1)-cell is the cell's boundary
+            out ^= {live << n | next(iter(z)) & ~live & ((1 << n) - 1)}
+            return
         outside = live & ~varying
         counts = _slice_counts(z, n, varying | outside & -outside)
         _, bit, flip = min(
@@ -257,8 +251,6 @@ def _recursive_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -
     # crosses them): drop them from the live cell before any case analysis.
     counts = [count for count in _slice_counts(z, n, live) if count[1] and count[2]]
     live = sum(count[0] for count in counts)
-    if len(counts) == k + 1:
-        return _top_cell_fill(z, n, live, out)
 
     consts = constants_for(k)
     threshold = consts.epsilon * float(len(z)) ** ((k - 1) / k)
@@ -271,7 +263,8 @@ def _recursive_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -
 
     if not candidates:
         # Every slice crosses a lot, so the cycle is large and the linear
-        # certificate fits under the power certificate.
+        # certificate fits under the power certificate (a (k+1)-cell's
+        # boundary, 2k across every slice, lands here and gets the cell).
         return _linear_fill_chain(z, n, live, out)
 
     _, cheap_tag, bit, ones, zeros = min(candidates)

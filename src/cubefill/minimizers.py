@@ -12,16 +12,14 @@ of the dimension-free filling bound.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from .chains import Chain
-from .faces import MAX_COORDINATES, Face
+from .faces import MAX_COORDINATES
 from .filling import DEFAULT_NODE_BUDGET, exact_fill, linear_fill
 
 __all__ = [
-    "minimizer_member",
     "minimizer_cycle",
     "minimizer_norm",
     "minimizer_fill_value",
@@ -30,16 +28,6 @@ __all__ = [
     "sharpness_asymptote",
     "sharpness_table",
 ]
-
-
-def minimizer_member(n: int, stars: tuple[int, ...], parity_seed: int) -> Face:
-    """One member face: stars at the given 1-based coordinates, pinned
-    blocks alternating from ``parity_seed``, flipping at every star."""
-    if parity_seed not in (0, 1):
-        raise ValueError("parity_seed must be 0 or 1")
-    if not all(1 <= s <= n for s in stars) or len(set(stars)) != len(stars):
-        raise ValueError(f"stars must be distinct coordinates in [1, {n}]")
-    return Face(n, *_block_masks(n, tuple(s - 1 for s in stars), parity_seed))
 
 
 def _block_masks(n: int, stars: tuple[int, ...], leading: int) -> tuple[int, int]:
@@ -56,7 +44,6 @@ def _block_masks(n: int, stars: tuple[int, ...], leading: int) -> tuple[int, int
     return free, fixed
 
 
-@lru_cache(maxsize=None)
 def _minimizer_chain(n: int, k: int) -> Chain:
     """The family member for any 0 <= k <= n.
 

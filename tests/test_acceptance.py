@@ -20,6 +20,7 @@ from cubefill import (
     constants_for,
     enumerate_faces,
     exact_fill,
+    face_count,
     leq_with_tolerance,
     linear_fill,
     minimizer_cycle,
@@ -42,6 +43,12 @@ def _criterion(number, description, passed, detail=""):
     assert passed, line
 
 
+@lru_cache(maxsize=None)
+def _pool(n, k):
+    """All k-cells of Q_n, enumerated once per shape."""
+    return enumerate_faces(n, k)
+
+
 def _structural_corpus():
     """500 seeded random chains, n <= 10, k <= 4, with a prism coordinate each."""
     corpus = []
@@ -49,7 +56,7 @@ def _structural_corpus():
         rng = random.Random(seed)
         n = 2 + seed % 9
         k = min(1 + seed % 4, n - 1)
-        pool = enumerate_faces(n, k)
+        pool = _pool(n, k)
         size = min(len(pool), 1 + rng.randrange(25))
         corpus.append((Chain(n, k, frozenset(rng.sample(pool, size))), 1 + seed % (n + 1)))
     return corpus
@@ -63,7 +70,7 @@ def _cycle_corpus():
     while len(corpus) < 200:
         n = 4 + i % 6
         k = 1 + i % 3
-        pool = len(enumerate_faces(n, k + 1))
+        pool = face_count(n, k + 1)
         target = 3 + (i * 7) % 22
         corpus.append(random_cycle(n, k, min(1.0, target / pool), i))
         i += 1

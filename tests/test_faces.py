@@ -29,7 +29,7 @@ class TestParseRender:
         f = parse_face("001*01**11*")
         assert f.n == 11
         assert f.dim == 4
-        assert [i for i in range(1, 12) if f.value_at(i) == "*"] == [4, 7, 8, 11]
+        assert [i for i in range(1, 12) if f.free_mask >> (i - 1) & 1] == [4, 7, 8, 11]
 
     def test_vertex(self):
         f = parse_face("0")
@@ -158,30 +158,6 @@ class TestEnumerationAndRank:
                 faces = list(enumerate_faces(n, k))
                 shuffled = sorted(faces, key=lambda f: (f.fixed_bits, f.free_mask))
                 assert sorted(shuffled) == faces
-
-
-class TestCoordinateSurgery:
-    def test_delete_then_insert_round_trip(self):
-        f = parse_face("01*0*")
-        for coordinate in range(1, 6):
-            state = f.value_at(coordinate)
-            g = f.delete_coordinate(coordinate)
-            assert g.n == 4
-            assert g.insert_coordinate(coordinate, state) == f
-
-    def test_insert_states(self):
-        f = parse_face("0*")
-        assert str(f.insert_coordinate(1, "*")) == "*0*"
-        assert str(f.insert_coordinate(3, "1")) == "0*1"
-
-    def test_out_of_range(self):
-        f = parse_face("0*")
-        with pytest.raises(ValueError):
-            f.delete_coordinate(3)
-        with pytest.raises(ValueError):
-            f.insert_coordinate(4, "0")
-        with pytest.raises(ValueError):
-            f.insert_coordinate(1, "x")
 
 
 class TestValueSemantics:

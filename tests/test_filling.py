@@ -29,10 +29,9 @@ from cubefill import (
     recursive_fill,
     support_subcube,
 )
-from cubefill.faces import Face, _bits, _free_at, _parse_word, _word
+from cubefill.faces import Face, _boundary, _free_at, _parse_word, _word
 from cubefill.filling import (
     _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin, _slice_counts,
-    _top_cell_fill,
 )
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
@@ -199,7 +198,11 @@ def reference_linear_fill_chain(z, n, live, out):
         return _fill_zero_cycle(z, n, out)
     d = live.bit_count()
     if d == k + 1:
-        return _top_cell_fill(z, n, live, out)
+        # in a (k+1)-cell the only nonempty k-cycle is the cell's boundary
+        cell = live << n | next(iter(z)) & ~live & ((1 << n) - 1)
+        assert z == _boundary(cell, n)
+        out ^= {cell}
+        return
     # The cut minimizing the exact inductive cost in the d-dimensional live
     # cell, pushed + (d-k-1)/(2(k+1)) * (ones + zeros), scaled by 2(k+1) to
     # stay in integers.  Ties go to the lowest coordinate, then plus = 1.
@@ -283,11 +286,21 @@ class TestLinearEngineAgainstItsReference:
 
 class TestRecursiveFill:
     def test_single_cell_boundary(self):
-        for word in ("***", "****"):
-            z = Chain.from_words(word).boundary()
-            result = recursive_fill(z)
-            assert result.filling == Chain.from_words(word)
-            assert result.filling.norm <= result.bound_certificate
+        # the boundaries of the k-cells for k = 2..8, and one lifted into Q_64
+        cells = [Chain.from_words("*" * k) for k in range(2, 9)]
+        cells.append(lift(Chain.from_words("*****"), 64, 3))
+        for cell in cells:
+            for fill in (linear_fill, recursive_fill):
+                result = fill(cell.boundary())
+                assert result.filling == cell
+                assert result.filling.norm <= result.bound_certificate
+
+    def test_no_slice_of_a_cell_boundary_is_a_case_candidate(self):
+        # the boundary of a (k+1)-cell has 2(k+1) faces and crosses 2k at every
+        # slice, never below the case threshold, so case 3 hands it to the
+        # linear engine, which fills it with the cell: no top-cell exit is needed
+        for k in range(2, 65):
+            assert 2 * k >= constants_for(k).epsilon * (2 * (k + 1)) ** ((k - 1) / k)
 
     def test_hexagon(self):
         result = recursive_fill(HEXAGON)
@@ -414,6 +427,15 @@ class TestExactFill:
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
             exact_fill(HEXAGON, 0)
+
+    def test_empty_chains(self):
+        # degree -1 marks the empty boundary of a vertex chain
+        for z in (Chain(3, -1), Chain(4, 1), Chain(2, 2)):
+            result = exact_fill(z)
+            assert result.filling == Chain(z.n, z.k + 1)
+            assert result.optimal
+            assert result.nodes_explored == 0
+            assert result.lower_bound == 0
 
     def test_tiny_budget_still_returns_valid_filling(self):
         # the linear seed (6 cells) is above the slicing bound (5), so the
@@ -570,17 +592,19 @@ class TestLowerBound:
 
     def test_builds_about_its_budget_of_crossings(self, monkeypatch):
         # the boundary of a 30-cell has 2^30 - 2 crossings below it; each one
-        # built lists its free coordinates once, and at most one per level
-        # past the budget is built
+        # bounded at degree >= 1 walks its free coordinates once, and at most
+        # one per level past the budget is built
         calls = []
 
-        def counted(mask):
-            calls.append(mask)
-            return _bits(mask)
+        def counted(codes, n):
+            calls.append(n)
+            return _free_at(codes, n)
 
-        monkeypatch.setattr("cubefill.filling._bits", counted)
-        assert _lower_bound(CUBE_30_BOUNDARY.codes, 30, 100) == 1
-        assert len(calls) <= 100 + 30
+        monkeypatch.setattr("cubefill.filling._free_at", counted)
+        for budget in (0, 1, 10, 100, 1000):
+            calls.clear()
+            assert _lower_bound(CUBE_30_BOUNDARY.codes, 30, budget) == 1
+            assert budget <= len(calls) <= budget + 30
 
     def test_proves_a_cube_boundary_without_the_slicing_bound(self, monkeypatch):
         # the linear seed, the 30-cell itself, meets the trivial bound

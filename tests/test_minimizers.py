@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -7,18 +9,18 @@ from itertools import combinations
 
 from cubefill import (
     Chain,
+    Face,
     exact_fill,
     linear_fill,
     minimizer_cycle,
     minimizer_fill_value,
-    minimizer_member,
     minimizer_norm,
     parse_face,
     sharpness_asymptote,
     sharpness_table,
     verify_minimizer,
 )
-from cubefill.minimizers import _minimizer_chain
+from cubefill.minimizers import _block_masks, _minimizer_chain
 
 
 class TestConstruction:
@@ -56,30 +58,36 @@ class TestConstruction:
         z = _minimizer_chain(4, 0)
         assert {str(f) for f in z.support} == {"0000", "1111"}
 
-    def test_member_constructor(self):
-        assert str(minimizer_member(10, (3, 5, 7), 0)) == "00*1*0*111"
-        with pytest.raises(ValueError):
-            minimizer_member(4, (1, 1), 0)
-        with pytest.raises(ValueError):
-            minimizer_member(4, (5,), 0)
-        with pytest.raises(ValueError):
-            minimizer_member(4, (1,), 2)
-
     def test_the_two_seeds_give_disjoint_members(self):
         # flipping the seed flips every pinned coordinate, so the two
         # members over one star set differ whenever a pinned coordinate
         # exists, and the support splits evenly across the seeds
         for n, k in [(4, 1), (5, 2), (6, 3)]:
             members = set()
-            for stars in combinations(range(1, n + 1), k):
-                a = minimizer_member(n, stars, 0)
-                b = minimizer_member(n, stars, 1)
+            for stars in combinations(range(n), k):
+                a = Face(n, *_block_masks(n, stars, 0))
+                b = Face(n, *_block_masks(n, stars, 1))
                 assert a != b
                 members |= {a, b}
             assert members == set(minimizer_cycle(n, k).support)
 
     def test_top_degree_member_cancels(self):
         assert _minimizer_chain(3, 3).norm == 0
+
+    def test_construction_keeps_nothing_once_dropped(self):
+        # (16, 8), 25,740 faces, is a shape no other test builds
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            z = minimizer_cycle(16, 8)
+            assert z.norm == minimizer_norm(16, 8)
+            del z
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
 
 class TestBoundaryStructure:
