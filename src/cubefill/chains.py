@@ -2,7 +2,7 @@
 
 A chain keeps its support as a frozenset of int codes (see ``faces``), and
 every operation here works on the codes; sums are symmetric differences.
-``Face`` objects are built only when ``support`` or ``sorted_faces`` is read.
+``Face`` objects are built only when ``support`` is read.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class Chain:
     def norm(self) -> int:
         """Hamming norm: the support size."""
         return len(self.codes)
-
-    def sorted_faces(self) -> list[Face]:
-        # Within one degree the integer order of the codes is face order.
-        return [_face(code, self.n) for code in sorted(self.codes)]
 
     def __add__(self, other: object) -> Chain:
         if not isinstance(other, Chain):

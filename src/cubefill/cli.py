@@ -15,7 +15,7 @@ from fractions import Fraction
 from .chainfile import ChainFormatError, read_chain, write_chain
 from .chains import Chain, random_cycle
 from .constants import BOUND_REL_TOL, c_constant, leq_with_tolerance
-from .faces import MAX_COORDINATES, face_count
+from .faces import MAX_COORDINATES, _word, face_count
 from .filling import (
     DEFAULT_NODE_BUDGET,
     connected_components,
@@ -57,9 +57,10 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _listed_boundary(boundary: Chain) -> dict:
+    listed = sorted(boundary.codes)[:_MAX_LISTED_FACES]
     return {
         "boundary_norm": boundary.norm,
-        "boundary_faces": [str(f) for f in boundary.sorted_faces()[:_MAX_LISTED_FACES]],
+        "boundary_faces": [_word(code, boundary.n) for code in listed],
     }
 
 
@@ -279,7 +280,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

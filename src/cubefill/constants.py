@@ -4,7 +4,6 @@ predicates."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -31,7 +30,6 @@ def leq_with_tolerance(lhs: float, rhs: float, tol: float = BOUND_REL_TOL) -> bo
     return lhs <= rhs + tol * max(1.0, abs(lhs), abs(rhs))
 
 
-@lru_cache(maxsize=None)
 def c_constant(k: int) -> float:
     """Product over i = 1..k of 1 / (2^(1/(i+1)) - 1); the empty product is 1."""
     if k < 0:
@@ -67,10 +65,6 @@ def constants_for(k: int) -> ConstantSet:
     c = c_constant(k)
     lower = 1.0 / (2.0 * c)
     upper = (k + 1) ** k / ((k + 1) ** k + k**k)
-    if lower > upper:
-        raise AssertionError(
-            f"empty epsilon window for k={k}: [{lower}, {upper}]"
-        )
     return ConstantSet(k, c, upper, c, 1.0, (lower, upper))
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 from .chains import Chain
 from .faces import MAX_COORDINATES
-from .filling import DEFAULT_NODE_BUDGET, exact_fill, linear_fill
+from .filling import exact_fill, linear_fill
 
 __all__ = [
     "minimizer_cycle",
@@ -83,17 +83,11 @@ def minimizer_fill_value(n: int, k: int) -> int:
     return comb(n, k + 1)
 
 
-def verify_minimizer(
-    n: int,
-    k: int,
-    *,
-    oracle_limit: int = 12,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> dict:
+def verify_minimizer(n: int, k: int) -> dict:
     """Check the family member's defining properties; returns a report.
 
     Structural checks run at any desk scale; the exact oracle, skipped (None)
-    when n exceeds ``oracle_limit``, proves each member up to 12 without a search.
+    above n = 12, proves each member up to there without a search.
     """
     z = minimizer_cycle(n, k)
     fill_value = minimizer_fill_value(n, k)
@@ -105,8 +99,8 @@ def verify_minimizer(
         "slice_crossing": cut.z_zero == _minimizer_chain(n - 1, k - 1),
         "linear_sharpness": linear_fill(z).filling.norm == fill_value,
     }
-    if n <= oracle_limit:
-        result = exact_fill(z, node_budget)
+    if n <= 12:
+        result = exact_fill(z)
         checks["oracle_fill"] = result.optimal and result.filling.norm == fill_value
     else:
         checks["oracle_fill"] = None

@@ -218,7 +218,7 @@ NON_CYCLE_BOUNDARY = [
 def non_cycle_file(tmp_path):
     # three components inside the 6-cell ******01 of Q_8, with 28 boundary faces
     z = random_cycle(6, 2, 0.05, 4)
-    y = Chain(6, 2, z.support - set(z.sorted_faces()[::5]))
+    y = Chain(6, 2, z.support - set(sorted(z.support)[::5]))
     path = tmp_path / "broken.chain"
     write_chain(y.inject(7, "fixed-0").inject(8, "fixed-1"), path)
     return path

@@ -47,10 +47,11 @@ class TestConstantSet:
         assert cs.delta == cs.c
         assert cs.L == 1.0
 
-    def test_window_nonempty_up_to_twelve(self):
-        for k in range(1, 13):
+    def test_window_nonempty_up_to_sixty_four(self):
+        # the window cannot be empty, so constants_for does not check it at run time
+        for k in range(1, 65):
             lower, upper = constants_for(k).epsilon_window
-            assert lower <= upper
+            assert lower <= 0.21 < 2 / 3 <= upper
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):

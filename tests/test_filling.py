@@ -4,11 +4,13 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from math import comb
 from operator import or_
 
 import pytest
 
 from cubefill import (
+    BOUND_REL_TOL,
     DEFAULT_NODE_BUDGET,
     FillResult,
     Chain,
@@ -31,7 +33,8 @@ from cubefill import (
 )
 from cubefill.faces import Face, _boundary, _free_at, _parse_word, _word
 from cubefill.filling import (
-    _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin, _slice_counts,
+    _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin,
+    _recursive_fill_chain, _slice_counts,
 )
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
@@ -120,6 +123,15 @@ def test_golden_exact_searches_are_unchanged():
         digest.update(format_chain_text(result.filling).encode())
         digest.update(f"{result.nodes_explored} {result.optimal}\n".encode())
     assert digest.hexdigest() == GOLDEN_EXACT_SHA256
+
+
+def lifted_sums():
+    """A small random cycle plus a small minimizer, both moved into Q_33 or Q_64."""
+    for n in (33, 64):
+        for seed, k in enumerate((1, 2, 3)):
+            yield lift(random_cycle(6, k, 0.05, seed), n, seed) + lift(
+                minimizer_cycle(k + 2, k), n, seed + 10
+            )
 
 
 def small_cycles():
@@ -233,12 +245,8 @@ class TestLinearEngineAgainstItsReference:
                     self.assert_same_filling(random_cycle(n, k, (0.02, 0.06, 0.15)[seed], seed))
 
     def test_lifted_sums(self):
-        for n in (33, 64):
-            for seed, k in enumerate((1, 2, 3)):
-                z = lift(random_cycle(6, k, 0.05, seed), n, seed) + lift(
-                    minimizer_cycle(k + 2, k), n, seed + 10
-                )
-                self.assert_same_filling(z)
+        for z in lifted_sums():
+            self.assert_same_filling(z)
 
     def test_cuts_that_push_nothing(self, monkeypatch):
         cuts = []
@@ -525,7 +533,7 @@ def bound_corpus():
 
 
 def permuted(z, order):
-    return Chain.from_words(*("".join(str(f)[i] for i in order) for f in z.support))
+    return Chain.from_words(*("".join(str(f)[i] for i in order) for f in z.support), n=z.n, k=z.k)
 
 
 def reflected(z, flips):
@@ -534,7 +542,7 @@ def reflected(z, flips):
         "".join(c.translate(swap) if flip else c for c, flip in zip(str(f), flips))
         for f in z.support
     )
-    return Chain.from_words(*words)
+    return Chain.from_words(*words, n=z.n, k=z.k)
 
 
 class TestLowerBound:
@@ -882,3 +890,123 @@ class TestFillResult:
         z = minimizer_cycle(4, 1)
         for engine in (linear_fill, recursive_fill):
             assert engine(z)[3:] == (False, 0, None)
+
+
+@pytest.fixture
+def level_ratios(monkeypatch):
+    """Check each call of the linear and recursive engines against its own certificate.
+
+    Every call fills into a fresh set, which must fill that call's cycle
+    within the certificate of its own live cell and degree, and is then
+    XORed into the caller's set, so the fillings stay the same.  Returns the
+    list of (engine, filling norm / certificate) per call with a nonempty cycle.
+    """
+    ratios = []
+
+    def checked(engine, name, certificate):
+        def run(z, n, live, out):
+            own = set()
+            engine(z, n, live, own)
+            if z:
+                k = (next(iter(z)) >> n).bit_count()
+                assert Chain._of(n, k + 1, frozenset(own)).boundary().codes == z, name
+                bound = certificate(live.bit_count(), k, len(z))
+                if isinstance(bound, Fraction):
+                    assert len(own) <= bound, (name, len(own), bound)
+                else:
+                    assert leq_with_tolerance(len(own), bound, BOUND_REL_TOL), (name, len(own), bound)
+                ratios.append((name, len(own) / bound))
+            out ^= own
+        return run
+
+    monkeypatch.setattr("cubefill.filling._linear_fill_chain", checked(
+        _linear_fill_chain, "linear", lambda d, k, norm: Fraction((d - k) * norm, 2 * (k + 1))
+    ))
+    monkeypatch.setattr("cubefill.filling._recursive_fill_chain", checked(
+        _recursive_fill_chain, "recursive", lambda d, k, norm: fill_bound_power(k, norm)
+    ))
+    return ratios
+
+
+class TestPerLevelCertificates:
+    def test_golden_corpus_keeps_its_fillings(self, level_ratios):
+        digest = hashlib.sha256()
+        for z in golden_corpus():
+            digest.update(format_chain_text(linear_fill(z).filling).encode())
+            digest.update(format_chain_text(recursive_fill(z).filling).encode())
+        assert digest.hexdigest() == GOLDEN_FILLINGS_SHA256
+        assert {name for name, _ in level_ratios} == {"linear", "recursive"}
+
+    def test_minimizers_and_lifted_sums(self, level_ratios):
+        cycles = [minimizer_cycle(n, k) for n in range(6, 13) for k in (2, 3)]
+        for z in [*cycles, *lifted_sums()]:
+            for engine in (linear_fill, recursive_fill):
+                assert engine(z).filling.boundary() == z
+        # the linear certificate is an equality on the minimizers
+        assert max(ratio for name, ratio in level_ratios if name == "linear") == 1
+
+
+def translate(n, k):
+    """T(n, k): the (n, k) minimizer plus its translate across a new coordinate."""
+    m = minimizer_cycle(n, k)
+    return m.inject(n + 1, "fixed-0") + m.inject(n + 1, "fixed-1")
+
+
+def known_optima():
+    """Cycles with their minimum filling weights, found by an exact 0/1
+    program outside this package and pinned here as data."""
+    for (n, k, density, seed), optimum in (
+        ((6, 1, 0.25, 1), 37), ((6, 1, 0.25, 2), 34), ((6, 1, 0.25, 3), 35),
+        ((6, 1, 0.25, 4), 37), ((6, 2, 0.15, 1), 25), ((7, 2, 0.1, 2), 55),
+    ):
+        yield random_cycle(n, k, density, seed), optimum
+    # the prism over the minimizer fills T(n, k) optimally; two pinned
+    # coordinates more do not change the optimum
+    for n, k in ((4, 1), (5, 1), (6, 1), (5, 2), (6, 2)):
+        yield lift(translate(n, k), n + 3, n + k), 2 * comb(n, k)
+
+
+class TestKnownOptima:
+    def test_the_prism_fills_the_translate_family(self):
+        for n, k in ((4, 1), (5, 1), (6, 1), (5, 2), (6, 2)):
+            prism = lift(minimizer_cycle(n, k).inject(n + 1, "free"), n + 3, n + k)
+            assert prism.boundary() == lift(translate(n, k), n + 3, n + k)
+            assert prism.norm == 2 * comb(n, k)
+
+    def test_bounds_and_engines_bracket_each_optimum(self):
+        for z, optimum in known_optima():
+            exact = exact_fill(z, 2_000)
+            assert exact.filling.boundary() == z
+            assert exact.lower_bound <= optimum <= exact.filling.norm, z
+            for engine in (linear_fill, recursive_fill):
+                assert optimum <= engine(z).filling.norm, (z, engine.__name__)
+
+
+def assert_within_certificate(result, z):
+    """The filling fills z within the certificate its strategy carries."""
+    norm = result.filling.norm
+    assert result.filling.boundary() == z
+    if result.strategy == "linear":
+        assert norm <= result.bound_certificate
+    elif result.strategy == "recursive":
+        assert leq_with_tolerance(norm, result.bound_certificate, BOUND_REL_TOL)
+    else:
+        assert result.lower_bound <= norm == result.bound_certificate
+
+
+def test_fillings_stay_valid_under_cube_symmetries():
+    rng = random.Random(16)
+    compared = 0
+    for z in [*golden_corpus(), *small_cycles()]:
+        order = rng.sample(range(z.n), z.n)
+        flips = [rng.random() < 0.5 for _ in range(z.n)]
+        exact = exact_fill(z, 2_000)
+        for image in (permuted(z, order), reflected(z, flips)):
+            for result in (linear_fill(image), recursive_fill(image)):
+                assert_within_certificate(result, image)
+            image_exact = exact_fill(image, 2_000)
+            assert_within_certificate(image_exact, image)
+            if exact.optimal and image_exact.optimal:
+                assert image_exact.filling.norm == exact.filling.norm, z
+                compared += 1
+    assert compared >= 90

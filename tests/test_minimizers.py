@@ -167,11 +167,6 @@ class TestVerifyReport:
         assert report["checks"]["oracle_fill"] is None
         assert report["checks"]["linear_sharpness"] is True
 
-    def test_oracle_limit_is_adjustable(self):
-        assert verify_minimizer(6, 4, oracle_limit=5)["checks"]["oracle_fill"] is None
-        report = verify_minimizer(14, 2, oracle_limit=14)
-        assert report["checks"]["oracle_fill"] is True
-
     def test_oracle_runs_above_five(self):
         # the slicing lower bound meets the linear seed, C(n, k+1), so the
         # exact search proves the member optimal without a search
