@@ -18,10 +18,10 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
   and if every slice crosses a lot the cycle is big enough that the
   linear bound already fits under the power bound (case 3).
 
-* ``exact_fill`` is a branch-and-bound search for a minimum-weight
-  filling, seeded with the linear filling and pruned by the admissible
-  bound ceil(residual / (2(k+1))); it stops at the first filling that
-  meets the paper's slicing lower bound, computed once at the root.
+* ``exact_fill`` is a branch-and-bound search from the linear filling: it
+  judges each child from its parent by its boundary's hits on the residual,
+  applies only those that can beat the best filling, and stops at the first
+  filling meeting the paper's slicing lower bound, computed once at the root.
 
 All three engines work on the int codes a ``Chain`` keeps, ``free_mask
 << n | fixed_bits``, in the input's own Q_n: the input's codes go in, the
@@ -334,16 +334,18 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     Any filling must contain a cell incident to each residual face, so the
     search branches on the coboundary cells of the least residual face, in
     face order, excluding cells already tried at this node so the branches
-    partition the solution space.  A node is pruned when its weight plus
-    ceil(residual / (2(k+1))) cannot beat the best known filling (each cell
-    clears at most 2(k+1) residual faces).  The search stops at the first
-    filling, the linear seed included, that meets ``lower_bound``: the slicing
-    bound, computed once at the root (per node it costs more than it saves)
-    unless the seed meets the trivial bound, and given at most
-    ``node_budget`` plus ``z.norm`` memoised crossings.
+    partition the solution space.  Each child counts as a node and is judged
+    from its parent by the residual faces its boundary hits: it is applied
+    only if its weight plus ceil(residual / (2(k+1))) can beat the best known
+    filling (each cell clears at most 2(k+1) residual faces).  The search
+    stops at the first filling, the linear seed included, that meets
+    ``lower_bound``: the slicing bound, computed once at the root (per node it
+    costs more than it saves) unless the seed meets the trivial bound, and
+    given at most ``node_budget`` plus ``z.norm`` memoised crossings.
 
     If the node budget runs out, the best filling found so far is returned
-    with ``optimal`` False.  Node counts are deterministic.
+    with ``optimal`` False and ``nodes_explored`` one past the budget.  Node
+    counts are deterministic.
     """
     if node_budget <= 0:
         raise ValueError("node budget must be positive")
@@ -362,45 +364,53 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         bound = _lower_bound(z.codes, n, node_budget + z.norm)
 
     cell_boundary = cache(partial(_boundary, n=n))
-    face_coboundary = cache(partial(_coboundary, n=n))
+    cells_on = cache(partial(_coboundary, n=n))
     residual = set(z.codes)
     chosen: set[int] = set()
     excluded: set[int] = set()
-    nodes = 0
     # Depth-first with an explicit stack, so the depth is not capped by the
-    # interpreter.  The one residual is updated in place: a cell's boundary
-    # goes in when the cell is chosen and out again when it is undone.  Each
-    # frame holds the cells a node branches on and how many it has tried.
+    # interpreter, and one residual updated in place as cells are chosen and
+    # undone.  A node has judged the first ``judged`` of its ``options`` (none
+    # when new); each node on the stack has chosen the last cell it judged.
     stack: list[tuple[list[int], int]] = []
+    judged = 0
+    nodes = int(best_weight > bound)
     while best_weight > bound:
-        nodes += 1
+        if not judged:
+            options = [c for c in cells_on(min(residual)) if c not in chosen and c not in excluded]
+        # A child's boundary clears h residual faces and adds a = 2(k+1) - h, leaving
+        # len(residual) - 2(k+1) + 2a: weight + 1 + ceil(left / (2(k+1))) < best iff a <= allow.
+        allow = (denominator * (best_weight - len(chosen) - 1) - len(residual)) // 2
+        start = judged
+        for cell in options[judged:]:
+            judged += 1
+            if len((boundary := cell_boundary(cell)) - residual) <= allow:
+                break
+        else:
+            cell = None
+        nodes += judged - start
         if nodes > node_budget:
             break
-        weight = len(chosen)
-        if not residual:
-            if weight < best_weight:
-                best_weight = weight
-                best_cells = set(chosen)
-        elif weight + -(-len(residual) // denominator) < best_weight:
-            cells = face_coboundary(min(residual))
-            options = [cell for cell in cells if cell not in chosen and cell not in excluded]
-            stack.append((options, 0))
-        # Back up to the deepest node with an untried cell and branch on it.
-        while stack:
-            options, tried = stack.pop()
-            if tried:
-                cell = options[tried - 1]
-                chosen.remove(cell)
-                excluded.add(cell)
-                residual ^= cell_boundary(cell)
-            if tried < len(options):
-                cell = options[tried]
-                stack.append((options, tried + 1))
-                chosen.add(cell)
-                residual ^= cell_boundary(cell)
-                break
+        if cell is None:
+            # out of cells: undo the cell chosen above and resume that node
             excluded.difference_update(options)
-        if not stack:
-            break
+            if not stack:
+                break
+            options, judged = stack.pop()
+            cell = options[judged - 1]
+            chosen.remove(cell)
+            residual ^= cell_boundary(cell)
+            continue
+        # excluded with the children passed over: no node below offers a chosen cell
+        excluded.update(options[start:judged])
+        if residual == boundary:
+            best_weight = len(chosen) + 1
+            best_cells = chosen | {cell}
+        else:
+            chosen.add(cell)
+            residual ^= boundary
+            stack.append((options, judged))
+            judged = 0
+    nodes = min(nodes, node_budget + 1)
     best = Chain._of(n, z.k + 1, frozenset(best_cells))
     return FillResult(best, "exact", best_weight, nodes <= node_budget, nodes, lower_bound=bound)

@@ -3,7 +3,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial, reduce
 from math import comb
 from operator import or_
 
@@ -31,7 +31,7 @@ from cubefill import (
     recursive_fill,
     support_subcube,
 )
-from cubefill.faces import Face, _boundary, _free_at, _parse_word, _word
+from cubefill.faces import Face, _boundary, _coboundary, _free_at, _parse_word, _word
 from cubefill.filling import (
     _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin,
     _recursive_fill_chain, _slice_counts,
@@ -478,6 +478,23 @@ class TestExactFill:
         assert result.nodes_explored == 1101
         assert result.filling.boundary() == z
 
+    def test_best_filling_improves_during_the_search(self):
+        # the linear seed has 11 cells; the search finds 9, and judges the
+        # children it meets after that against 9
+        z = random_cycle(5, 1, 0.12, 3)
+        assert linear_fill(z).filling.norm == 11
+        result = exact_fill(z)
+        assert result.filling.boundary() == z
+        assert (result.filling.norm, result.optimal, result.nodes_explored) == (9, True, 262)
+        assert result.lower_bound == 7
+
+    def test_budget_runs_out_at_one_past_the_budget(self):
+        z = random_cycle(6, 1, 0.25, 1)
+        result = exact_fill(z, 500)
+        assert result.filling.boundary() == z
+        assert (result.filling.norm, result.optimal, result.nodes_explored) == (57, False, 501)
+        assert result.lower_bound == 26
+
     def test_deep_search_keeps_one_residual(self):
         # a copy of the residual in each of the 1,100 frames of the first
         # dive would hold ~140 MB; one residual updated in place stays small
@@ -518,6 +535,90 @@ class TestExactFill:
         second = exact_fill(z)
         assert first.nodes_explored == second.nodes_explored
         assert first.filling == second.filling
+
+
+def reference_exact_search(z, node_budget):
+    """The exact search applying each child before judging it, as one node of
+    the loop; returns (filling codes, nodes_explored, optimal, lower_bound)."""
+    n = z.n
+    best_cells = set()
+    _linear_fill_chain(z.codes, n, (1 << n) - 1, best_cells)
+    best_weight = len(best_cells)
+    denominator = 2 * (z.k + 1)
+    bound = -(-z.norm // denominator)
+    if best_weight > bound:
+        bound = _lower_bound(z.codes, n, node_budget + z.norm)
+
+    cell_boundary = cache(partial(_boundary, n=n))
+    face_coboundary = cache(partial(_coboundary, n=n))
+    residual = set(z.codes)
+    chosen = set()
+    excluded = set()
+    nodes = 0
+    stack = []
+    while best_weight > bound:
+        nodes += 1
+        if nodes > node_budget:
+            break
+        weight = len(chosen)
+        if not residual:
+            if weight < best_weight:
+                best_weight = weight
+                best_cells = set(chosen)
+        elif weight + -(-len(residual) // denominator) < best_weight:
+            cells = face_coboundary(min(residual))
+            options = [cell for cell in cells if cell not in chosen and cell not in excluded]
+            stack.append((options, 0))
+        # Back up to the deepest node with an untried cell and branch on it.
+        while stack:
+            options, tried = stack.pop()
+            if tried:
+                cell = options[tried - 1]
+                chosen.remove(cell)
+                excluded.add(cell)
+                residual ^= cell_boundary(cell)
+            if tried < len(options):
+                cell = options[tried]
+                stack.append((options, tried + 1))
+                chosen.add(cell)
+                residual ^= cell_boundary(cell)
+                break
+            excluded.difference_update(options)
+        if not stack:
+            break
+    return frozenset(best_cells), nodes, nodes <= node_budget, bound
+
+
+class TestExactSearchAgainstItsReference:
+    """The search judges each child from its parent by the residual faces its
+    boundary clears, and applies only the children that can still beat the
+    best filling; the reference applies every child and judges it there."""
+
+    @staticmethod
+    def assert_same_search(z, node_budget):
+        result = exact_fill(z, node_budget)
+        got = (result.filling.codes, result.nodes_explored, result.optimal, result.lower_bound)
+        assert got == reference_exact_search(z, node_budget), (z, node_budget)
+
+    def test_exact_corpus(self):
+        for z, budget in exact_corpus():
+            self.assert_same_search(z, budget)
+
+    def test_small_and_bound_corpora(self):
+        # bound_corpus() starts with small_cycles()
+        for z in bound_corpus():
+            self.assert_same_search(z, 2_000)
+
+    def test_known_optima(self):
+        for z, _ in known_optima():
+            self.assert_same_search(z, 2_000)
+
+    def test_every_budget_cut(self):
+        # the cut lands inside runs of judged siblings, on the leaf that
+        # improves the best filling, and after it
+        z = random_cycle(5, 1, 0.12, 3)
+        for budget in range(1, 301):
+            self.assert_same_search(z, budget)
 
 
 # a crossing budget that no input in these tests reaches
