@@ -3,9 +3,11 @@
 Format: a header line ``cube <n> <k>``, then one face word per line.
 Lines starting with ``#`` are comments, blank lines are ignored, and a
 duplicate face is an error because the listing is an exact Z2 support.
-Words are parsed straight into the int codes a ``Chain`` keeps, and
-written back from the sorted codes: within one degree the integer order
-of the codes is face order.
+All the words of a file are parsed together by ``Chain.from_words``, in
+bulk into the int codes a ``Chain`` keeps; only when a line is malformed
+are the lines checked one by one, to report the first bad one.  Codes
+are written back sorted: within one degree their integer order is face
+order.
 """
 
 from __future__ import annotations
@@ -27,44 +29,43 @@ class ChainFormatError(ValueError):
 
 
 def parse_chain_text(text: str) -> Chain:
-    header: tuple[int, int] | None = None
-    codes: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if header is None:
-            parts = stripped.split()
-            if len(parts) != 3 or parts[0] != "cube":
-                raise ChainFormatError("expected header 'cube <n> <k>'", lineno)
-            try:
-                n, k = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ChainFormatError("header dimensions must be integers", lineno) from None
-            if n > MAX_COORDINATES:
-                raise ChainFormatError(f"dimension {n} above {MAX_COORDINATES}", lineno)
-            if not 0 <= k <= n:
-                raise ChainFormatError(f"degree {k} outside [0, {n}]", lineno)
-            header = (n, k)
-            continue
-        n, k = header
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip()) and not line.startswith("#")]
+    if not lines:
+        raise ChainFormatError("missing header 'cube <n> <k>'")
+    (lineno, header), *lines = lines
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != "cube":
+        raise ChainFormatError("expected header 'cube <n> <k>'", lineno)
+    try:
+        n, k = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ChainFormatError("header dimensions must be integers", lineno) from None
+    if n > MAX_COORDINATES:
+        raise ChainFormatError(f"dimension {n} above {MAX_COORDINATES}", lineno)
+    if not 0 <= k <= n:
+        raise ChainFormatError(f"degree {k} outside [0, {n}]", lineno)
+    try:
+        return Chain.from_words(*(word for _, word in lines), n=n, k=k)
+    except ValueError:
+        pass  # some line is malformed: check line by line to report the first
+    seen: dict[int, int] = {}
+    for lineno, word in lines:
         try:
-            code = _parse_word(stripped)
+            code = _parse_word(word)
         except ValueError as exc:
             raise ChainFormatError(str(exc), lineno) from None
-        if len(stripped) != n:
-            raise ChainFormatError(f"face word has length {len(stripped)}, header says {n}", lineno)
+        if len(word) != n:
+            raise ChainFormatError(f"face word has length {len(word)}, header says {n}", lineno)
         dim = (code >> n).bit_count()
         if dim != k:
             raise ChainFormatError(f"face has dimension {dim}, header says {k}", lineno)
-        if code in codes:
+        if code in seen:
             raise ChainFormatError(
-                f"duplicate face {stripped!r} (first seen on line {codes[code]})", lineno
+                f"duplicate face {word!r} (first seen on line {seen[code]})", lineno
             )
-        codes[code] = lineno
-    if header is None:
-        raise ChainFormatError("missing header 'cube <n> <k>'")
-    return Chain._of(header[0], header[1], frozenset(codes))
+        seen[code] = lineno
+    return Chain._of(n, k, frozenset(seen))
 
 
 def format_chain_text(chain: Chain) -> str:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .faces import (
     MAX_COORDINATES, Face, _degree_codes, _delete, _face, _free_at, _frozen, _insert,
-    _parse_word, _split,
+    _parse_words, _split,
 )
 
 __all__ = [
@@ -65,8 +65,10 @@ class Chain:
     @classmethod
     def from_words(cls, *words: str, n: int | None = None, k: int | None = None) -> Chain:
         """Build a chain from face words; empty chains need explicit n and k."""
-        codes = [_parse_word(w) for w in words]
-        if len(set(words)) != len(words):
+        codes = _parse_words(words)
+        support = frozenset(codes)
+        # equal codes are equal words unless the lengths differ, which the last check reports
+        if len(support) != len(words) and len(set(words)) != len(words):
             raise ValueError("duplicate face in support listing")
         if not words:
             if n is None or k is None:
@@ -78,10 +80,10 @@ class Chain:
         if k is not None and k != got_k:
             raise ValueError(f"expected degree {k}, got {got_k}")
         n, k = got_n, got_k
-        for word, code in zip(words, codes):
-            if len(word) != n or (code >> n).bit_count() != k:
-                raise ValueError(f"face {word} does not live in degree {k} of Q_{n}")
-        return cls._of(n, k, frozenset(codes))
+        if set(map(len, words)) != {n} or set(map(int.bit_count, map(n.__rrshift__, codes))) != {k}:
+            word = next(w for w, c in zip(words, codes) if len(w) != n or (c >> n).bit_count() != k)
+            raise ValueError(f"face {word} does not live in degree {k} of Q_{n}")
+        return cls._of(n, k, support)
 
     @property
     def support(self) -> frozenset[Face]:

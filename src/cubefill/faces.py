@@ -5,7 +5,9 @@ k stars: starred coordinates are free, the others are pinned to the written
 bit.  Inside the library a cell is one int, its code ``free_mask << n |
 fixed_bits``; within one degree the integer order of the codes is face
 order.  ``Face`` is the public view of one code.  Coordinates are 1-based
-in words and messages, 0-based inside the masks.
+in words and messages, 0-based inside the masks.  A list of words of one
+length is parsed in bulk: padded to fields of 8, 16, 32 or 64 digits and
+read as two binary numerals, one of the free masks and one of the fixed bits.
 """
 
 from __future__ import annotations
@@ -108,6 +110,24 @@ def _parse_word(word: str) -> int:
         raise ValueError(f"invalid character {ch!r} at position {i + 1}")
     digits = word[::-1]
     return int(digits.translate(_FREE_DIGITS) + digits.translate(_FIXED_DIGITS), 2)
+
+
+def _parse_words(words: Sequence[str]) -> list[int]:
+    """``_parse_word`` of each word, read as two binary numerals when all are
+    valid and of one length: word j fills the j-th field of 8, 16, 32 or 64
+    digits, coordinate 1 in its lowest bit."""
+    n = len(words[0]) if words else 0
+    if 0 < n <= MAX_COORDINATES and set(map(len, words)) == {n}:
+        width = max(8, 1 << (n - 1).bit_length())
+        pad = "0" * (width - n)
+        digits = (pad.join(words) + pad)[::-1]
+        if not digits.translate(_WORD_SYMBOLS):
+            fields = struct.Struct(f"<{len(words)}{'BHIQ'[width.bit_length() - 4]}")
+            free, fixed = (fields.unpack(int(digits.translate(t), 2).to_bytes(fields.size, "little"))
+                           for t in (_FREE_DIGITS, _FIXED_DIGITS))
+            return list(map(or_, map(n.__rlshift__, free), fixed))
+    # an empty, overlong or mixed list, or a bad symbol: word by word, first error raised
+    return list(map(_parse_word, words))
 
 
 def _word(code: int, n: int) -> str:

@@ -100,3 +100,33 @@ def test_undecodable_file_reports_line(tmp_path):
         read_chain(path)
     assert info.value.line == 3
     assert "UTF-8" in str(info.value)
+
+
+# each file holds two errors; the earlier line is reported, whichever kind it is
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("cube 2 1\n*0\n*0\n# c\n\nx0\n", 3, "duplicate face '*0' (first seen on line 2)"),
+        ("cube 2 1\n*0\n\nx0\n#c\n*0\n", 4, "invalid character 'x' at position 1"),
+        ("cube 2 1\n#c\n\n*0\n1*\n*00\n0*\n*x\n", 6, "face word has length 3, header says 2"),
+        ("cube 2 1\n0*\n**\n*0\n0*\n", 3, "face has dimension 2, header says 1"),
+        ("# c\ncube 3 1\n\n*00\n#c\n\n0*0\n" + "1" * 65 + "\n*0\n", 8,
+         "face word longer than 64 coordinates"),
+    ],
+)
+def test_the_first_bad_line_is_reported(text, line, message):
+    with pytest.raises(ChainFormatError) as info:
+        parse_chain_text(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def test_a_long_file_reports_its_one_bad_line():
+    z = minimizer_cycle(9, 2)
+    lines = format_chain_text(z).splitlines()
+    assert parse_chain_text("\n".join(lines)) == z
+    lines[-5] = lines[-5].replace("*", "0", 1)
+    with pytest.raises(ChainFormatError) as info:
+        parse_chain_text("\n".join(lines))
+    assert info.value.line == len(lines) - 4
+    assert str(info.value).endswith("face has dimension 1, header says 2")

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -304,6 +305,50 @@ class TestOneRepresentation:
             assert all(other == chain for other in same)
             assert {hash(other) for other in same} == {hash(chain)}
             assert len({chain, *same}) == 1
+
+
+def lifted(z, n):
+    """z moved into Q_n by putting in pinned coordinates, alternately 1 and 0."""
+    while z.n < n:
+        z = z.inject(z.n + 1, f"fixed-{z.n % 2}")
+    return z
+
+
+class TestFromWords:
+    @pytest.mark.parametrize(
+        "n, k, density, seed, into",
+        [(7, 1, 0.1, 1, 7), (8, 2, 0.05, 2, 8), (9, 1, 0.05, 3, 9), (8, 1, 0.05, 4, 17),
+         (6, 2, 0.2, 5, 33), (6, 1, 0.2, 6, 64)],
+    )
+    def test_agrees_with_parse_face(self, n, k, density, seed, into):
+        z = lifted(random_cycle(n, k, density, seed), into)
+        words = [str(face) for face in z.support]
+        assert Chain.from_words(*words) == Chain(z.n, z.k, frozenset(map(parse_face, words))) == z
+
+    # each message is the one the word-by-word checks raise, for the first offence
+    @pytest.mark.parametrize(
+        "words, kwargs, message",
+        [
+            (("10", ""), {}, "empty face word"),
+            (("1", "", "x"), {}, "empty face word"),
+            (("10", "1x0", "2"), {}, "invalid character 'x' at position 2"),
+            (("10", "1" * 65), {}, "face word longer than 64 coordinates"),
+            (("10", "1", "10"), {}, "duplicate face in support listing"),
+            (("*0", "**", "0*"), {}, "face ** does not live in degree 1 of Q_2"),
+            (("*0", "1*", "0*1"), {}, "face 0*1 does not live in degree 1 of Q_2"),
+            (("*0",), {"n": 3}, "expected words of length 3, got 2"),
+            (("*0", "*1"), {"k": 0}, "expected degree 0, got 1"),
+            ((), {}, "an empty chain needs explicit n and k"),
+        ],
+    )
+    def test_reports_the_first_error(self, words, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Chain.from_words(*words, **kwargs)
+
+    def test_words_of_different_lengths_are_not_duplicates(self):
+        # "0" and "00" share the code 0; the length check reports them
+        with pytest.raises(ValueError, match="^face 00 does not live in degree 0 of Q_1$"):
+            Chain.from_words("0", "00")
 
 
 class TestValueSemantics:

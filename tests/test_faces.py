@@ -1,6 +1,8 @@
 import copy
 import gc
 import pickle
+import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -14,6 +16,8 @@ from cubefill import (
     parse_face,
     render_face,
 )
+from cubefill import faces as faces_module
+from cubefill.faces import _parse_word, _parse_words
 
 
 @st.composite
@@ -185,3 +189,44 @@ class TestValueSemantics:
     def test_copies_and_pickles_are_equal(self):
         f = parse_face("1*0*")
         assert copy.copy(f) == copy.deepcopy(f) == pickle.loads(pickle.dumps(f)) == f
+
+
+class TestBulkParse:
+    """``_parse_words`` reads a list of words of one length as two binary
+    numerals; it must give what ``_parse_word`` gives word by word."""
+
+    @staticmethod
+    def words(n, size, seed):
+        rng = random.Random(f"{n}:{size}:{seed}")
+        return ["".join(rng.choice("01*") for _ in range(n)) for _ in range(size)]
+
+    # both sides of each field boundary: 8, 16, 32 and 64 digits
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 32, 33, 63, 64])
+    @pytest.mark.parametrize("size", [1, 2, 1000])
+    def test_matches_the_word_by_word_parse(self, n, size):
+        for seed in range(3):
+            words = self.words(n, size, seed)
+            assert _parse_words(words) == [_parse_word(w) for w in words]
+
+    def test_a_valid_list_is_not_read_word_by_word(self, monkeypatch):
+        words = self.words(33, 50, 0)
+        expected = [_parse_word(w) for w in words]
+
+        def refuse(word):
+            raise AssertionError("read word by word")
+
+        monkeypatch.setattr(faces_module, "_parse_word", refuse)
+        assert _parse_words(words) == expected
+
+    @pytest.mark.parametrize(
+        "words",
+        [[], ["0", "10", "*"], ["10", "1*", "0" * 70], ["10", "", "1x"], ["*1", "1é", "2"]],
+    )
+    def test_other_lists_are_read_word_by_word(self, words):
+        try:
+            expected = [_parse_word(w) for w in words]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _parse_words(words)
+        else:
+            assert _parse_words(words) == expected
