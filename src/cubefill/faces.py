@@ -48,8 +48,14 @@ def _bits(mask: int) -> Iterator[int]:
 _BIT_SET = [bytes(byte >> b & 1 for byte in range(256)) for b in range(8)]
 
 
+def _field(bits: int) -> tuple[int, str]:
+    """The narrowest field of 8, 16, 32 or 64 bits that holds ``bits`` bits, and its struct code."""
+    width = max(8, 1 << (bits - 1).bit_length())
+    return width, "BHIQ"[width.bit_length() - 4]
+
+
 def _columns(values: Sequence[int], mask: int) -> Iterator[tuple[int, bytes]]:
-    """Per set bit of ``mask``, lowest first: the bit and a 0 or 1 per value, each below 2^64."""
+    """For ``_free_at``, per set bit of ``mask``, lowest first: the bit, a 0 or 1 per value < 2^64."""
     # little-endian 64-bit words on any host: byte j of each holds its bits 8j to 8j+7
     packed = struct.pack(f"<{len(values)}Q", *values)
     for bit in _bits(mask):
@@ -118,11 +124,11 @@ def _parse_words(words: Sequence[str]) -> list[int]:
     digits, coordinate 1 in its lowest bit."""
     n = len(words[0]) if words else 0
     if 0 < n <= MAX_COORDINATES and set(map(len, words)) == {n}:
-        width = max(8, 1 << (n - 1).bit_length())
+        width, field = _field(n)
         pad = "0" * (width - n)
         digits = (pad.join(words) + pad)[::-1]
         if not digits.translate(_WORD_SYMBOLS):
-            fields = struct.Struct(f"<{len(words)}{'BHIQ'[width.bit_length() - 4]}")
+            fields = struct.Struct(f"<{len(words)}{field}")
             free, fixed = (fields.unpack(int(digits.translate(t), 2).to_bytes(fields.size, "little"))
                            for t in (_FREE_DIGITS, _FIXED_DIGITS))
             return list(map(or_, map(n.__rlshift__, free), fixed))

@@ -32,13 +32,13 @@ cell of its live coordinates: a facet or a support subcube of Q_n is
 itself a cell of Q_n, so a cut pins one live coordinate in place instead
 of renumbering into a smaller cube.  Each level chooses its cut from
 per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing,
-read off packed bit columns.  The same counts give the support cell, here
-and in ``support_subcube``: the coordinates something crosses or where
-faces sit on both sides.  The linear engine counts only those and the
-lowest other live coordinate, standing for all that do not vary.  A side
-of a cut, one state there, moves across by one XOR; fillings are summed
-into one set.  Components and the slicing lower bound take the faces free
-at each coordinate from the walk boundaries use (``faces._free_at``).
+each a popcount of one byte of every packed code, read as a numeral.
+They give the support cell, here and in ``support_subcube``: the
+coordinates something crosses or where faces sit on both sides.  The
+linear engine counts only those and the lowest other live coordinate,
+standing for all that do not vary.  A side of a cut, one state there,
+moves across by one XOR; fillings are summed into one set.  Components
+and the slicing lower bound read free faces off ``faces._free_at``.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -47,6 +47,7 @@ certificate n/2 * norm(z) still holds for the pairing.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -55,7 +56,7 @@ from typing import NamedTuple
 
 from .chains import Chain
 from .constants import c_constant, constants_for
-from .faces import Face, _bits, _boundary, _coboundary, _columns, _face, _free_at, _split, _word
+from .faces import Face, _bits, _boundary, _coboundary, _face, _field, _free_at, _split, _word
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -127,11 +128,24 @@ def _fill_zero_cycle(z: frozenset[int], n: int, out: set[int]) -> None:
 
 
 def _slice_counts(z: frozenset[int], n: int, live: int) -> list[tuple[int, int, int, int]]:
-    """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing,
-    counted in its bit column over the packed fixed bits of the faces, then their free masks."""
+    """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing.
+    Each code goes to one field, the narrowest holding 2n bits (wider: its fixed bits and free
+    mask to two 64-bit fields, the free mask read as bits 64 on); byte j of every field, read as
+    a numeral with a byte per face, gives each count in one shift, mask and popcount."""
+    if 2 * n <= 64:
+        width, field = _field(2 * n)
+        packs, free_at = [struct.pack(f"<{len(z)}{field}", *z)], n
+    else:
+        width, free_at = 64, 64
+        packs = [struct.pack(f"<{len(z)}Q", *values)
+                 for values in (map(((1 << n) - 1).__and__, z), map(n.__rrshift__, z))]
+    columns = [int.from_bytes(p[j::width // 8], "little") for p in packs for j in range(width // 8)]
+    low = int.from_bytes(bytes([1]) * len(z), "little")
     counts = []
-    for bit, column in _columns([*map(((1 << n) - 1).__and__, z), *map(n.__rrshift__, z)], live):
-        ones, crossing = column.count(1, 0, len(z)), column.count(1, len(z))
+    for bit in _bits(live):
+        i = bit.bit_length() - 1
+        ones = (columns[i >> 3] >> (i & 7) & low).bit_count()
+        crossing = (columns[i + free_at >> 3] >> (i + free_at & 7) & low).bit_count()
         counts.append((bit, ones, len(z) - ones - crossing, crossing))
     return counts
 

@@ -744,18 +744,23 @@ def random_codes(rng, n, size):
 
 class TestSlicePasses:
     def test_slice_counts_match_a_per_face_count(self):
+        # every n, so each field boundary of the packed codes is crossed: 2n bits
+        # go in 8, 16, 32 or 64, past that fixed bits and free masks in 64 each
+        # (n = 4/5, 8/9, 16/17, 32/33); 1,000 drawn faces on both sides of three
+        # of them (all of Q_4 and of Q_5)
         rng = random.Random(9)
-        for n in (1, 7, 8, 9, 31, 32, 33, 63, 64):
+        cases = [(n, size) for n in range(1, 65) for size in (0, 1, 40)]
+        cases += [(n, 1000) for n in (4, 5, 16, 17, 32, 33)]
+        for n, size in cases:
             full = (1 << n) - 1
-            for size in (1, 40):
-                z = random_codes(rng, n, size)
-                words = [_word(code, n) for code in z]
-                for live in (full, rng.getrandbits(n), rng.getrandbits(n) | 1 << n - 1):
-                    expected = [
-                        (1 << i, *(sum(w[i] == s for w in words) for s in "10*"))
-                        for i in range(n) if live >> i & 1
-                    ]
-                    assert _slice_counts(z, n, live) == expected, (n, size, live)
+            z = random_codes(rng, n, size)
+            words = [_word(code, n) for code in z]
+            for live in (full, rng.getrandbits(n), rng.getrandbits(n) | 1 << n - 1):
+                expected = [
+                    (1 << i, *(sum(w[i] == s for w in words) for s in "10*"))
+                    for i in range(n) if live >> i & 1
+                ]
+                assert _slice_counts(z, n, live) == expected, (n, size, live)
 
     def test_free_at_matches_a_per_face_filter(self):
         rng = random.Random(10)
