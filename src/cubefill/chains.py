@@ -8,7 +8,7 @@ every operation here works on the codes; sums are symmetric differences.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from .faces import (
     MAX_COORDINATES, Face, _degree_codes, _delete, _face, _free_at, _frozen, _insert,
@@ -167,14 +167,12 @@ class Chain:
         return f"Chain(n={self.n}, k={self.k}, norm={self.norm})"
 
 
-class SliceDecomposition(NamedTuple):
+class SliceDecomposition(
+    namedtuple("SliceDecomposition", "coordinate plus_value z_plus z_minus z_zero")
+):
     """A chain split by one coordinate into z_plus, z_minus and z_zero."""
 
-    coordinate: int
-    plus_value: int
-    z_plus: Chain
-    z_minus: Chain
-    z_zero: Chain
+    __slots__ = ()
 
     def reassemble(self) -> Chain:
         """Undo the slice; returns the original chain exactly."""

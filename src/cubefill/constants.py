@@ -4,7 +4,7 @@ predicates."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "BOUND_REL_TOL",
@@ -40,7 +40,7 @@ def c_constant(k: int) -> float:
     return out
 
 
-class ConstantSet(NamedTuple):
+class ConstantSet(namedtuple("ConstantSet", "k c epsilon delta L epsilon_window")):
     """The working constants for one degree.
 
     delta equals c_k (the degree-k growth constant divided by the factor
@@ -50,12 +50,7 @@ class ConstantSet(NamedTuple):
     rarely as possible.
     """
 
-    k: int
-    c: float
-    epsilon: float
-    delta: float
-    L: float
-    epsilon_window: tuple[float, float]
+    __slots__ = ()
 
 
 def constants_for(k: int) -> ConstantSet:

@@ -6,8 +6,9 @@ bit.  Inside the library a cell is one int, its code ``free_mask << n |
 fixed_bits``; within one degree the integer order of the codes is face
 order.  ``Face`` is the public view of one code.  Coordinates are 1-based
 in words and messages, 0-based inside the masks.  A list of words of one
-length is parsed in bulk: padded to fields of 8, 16, 32 or 64 digits and
-read as two binary numerals, one of the free masks and one of the fixed bits.
+length is parsed in bulk, a run of words at a time: padded to fields of 8,
+16, 32 or 64 digits and read as two binary numerals, one of the free masks
+and one of the fixed bits.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ MAX_COORDINATES = 64
 _FREE_DIGITS = str.maketrans("01*", "001")
 _FIXED_DIGITS = str.maketrans("*", "0")
 _WORD_SYMBOLS = str.maketrans("", "", "01*")
+# Words per bulk parse: a long list goes a run at a time, so only one run's
+# digit strings and unpacked fields are held beside the codes
+_RUN = 4096
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -119,19 +123,25 @@ def _parse_word(word: str) -> int:
 
 
 def _parse_words(words: Sequence[str]) -> list[int]:
-    """``_parse_word`` of each word, read as two binary numerals when all are
-    valid and of one length: word j fills the j-th field of 8, 16, 32 or 64
-    digits, coordinate 1 in its lowest bit."""
+    """``_parse_word`` of each word, read as two binary numerals per run of
+    ``_RUN`` words when all are valid and of one length: word j of a run fills
+    its j-th field of 8, 16, 32 or 64 digits, coordinate 1 in its lowest bit."""
     n = len(words[0]) if words else 0
     if 0 < n <= MAX_COORDINATES and set(map(len, words)) == {n}:
         width, field = _field(n)
         pad = "0" * (width - n)
-        digits = (pad.join(words) + pad)[::-1]
-        if not digits.translate(_WORD_SYMBOLS):
-            fields = struct.Struct(f"<{len(words)}{field}")
+        codes: list[int] = []
+        for start in range(0, len(words), _RUN):
+            run = words[start:start + _RUN]
+            digits = (pad.join(run) + pad)[::-1]
+            if digits.translate(_WORD_SYMBOLS):
+                break
+            fields = struct.Struct(f"<{len(run)}{field}")
             free, fixed = (fields.unpack(int(digits.translate(t), 2).to_bytes(fields.size, "little"))
                            for t in (_FREE_DIGITS, _FIXED_DIGITS))
-            return list(map(or_, map(n.__rlshift__, free), fixed))
+            codes += map(or_, map(n.__rlshift__, free), fixed)
+        else:
+            return codes
     # an empty, overlong or mixed list, or a bad symbol: word by word, first error raised
     return list(map(_parse_word, words))
 

@@ -12,8 +12,9 @@ of the dimension-free filling bound.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterable
 from math import comb, factorial
-from typing import Iterable, NamedTuple
 
 from .chains import Chain
 from .faces import MAX_COORDINATES
@@ -114,13 +115,11 @@ def verify_minimizer(n: int, k: int) -> dict:
     }
 
 
-class SharpnessRow(NamedTuple):
-    n: int
-    norm: int
-    fill: int
-    ratio: float
-    asymptote: float
-    quotient: float
+class SharpnessRow(namedtuple("SharpnessRow", "n norm fill ratio asymptote quotient")):
+    """A row of ``sharpness_table``: the norm and fill at n, the ratio
+    fill / norm^((k+1)/k), its limit as n grows, and the ratio over the limit."""
+
+    __slots__ = ()
 
 
 def sharpness_asymptote(k: int) -> float:

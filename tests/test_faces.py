@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubefill import (
+    Chain,
     Face,
     enumerate_faces,
     face_count,
     parse_face,
     render_face,
 )
+from cubefill import chains as chains_module
 from cubefill import faces as faces_module
-from cubefill.faces import _parse_word, _parse_words
+from cubefill.faces import _RUN, _parse_word, _parse_words
 
 
 @st.composite
@@ -207,6 +209,38 @@ class TestBulkParse:
         for seed in range(3):
             words = self.words(n, size, seed)
             assert _parse_words(words) == [_parse_word(w) for w in words]
+
+    def test_a_list_of_several_runs(self):
+        # then a bad symbol in its last run: the first error, word by word
+        words = self.words(17, 2 * _RUN + 5, 0)
+        assert _parse_words(words) == [_parse_word(w) for w in words]
+        words[-3] = words[-3][:4] + "x" + words[-3][5:]
+        with pytest.raises(ValueError, match="^invalid character 'x' at position 5$"):
+            _parse_words(words)
+
+    def test_a_long_list_peaks_near_the_word_by_word_parse(self, monkeypatch):
+        # runs of words, not the whole list, as digit strings and unpacked
+        # fields: 200,000 words peaked 1.6 times as high in one run
+        rng = random.Random(0)
+        words = set()
+        while len(words) < 50_000:
+            word = list(format(rng.getrandbits(40), "040b"))
+            for i in rng.sample(range(40), 2):
+                word[i] = "*"
+            words.add("".join(word))
+        words = sorted(words)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                Chain.from_words(*words)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bulk = peak()
+        monkeypatch.setattr(chains_module, "_parse_words", lambda ws: list(map(_parse_word, ws)))
+        assert bulk <= 1.1 * peak()
 
     def test_a_valid_list_is_not_read_word_by_word(self, monkeypatch):
         words = self.words(33, 50, 0)

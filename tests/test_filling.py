@@ -31,6 +31,7 @@ from cubefill import (
     recursive_fill,
     support_subcube,
 )
+from cubefill import filling
 from cubefill.faces import Face, _boundary, _coboundary, _free_at, _parse_word, _word
 from cubefill.filling import (
     _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin,
@@ -509,6 +510,21 @@ class TestExactFill:
         assert result.filling.norm == 1721
         assert peak < 16 * 2**20
 
+    def test_deep_search_sorts_the_residual_rarely(self, monkeypatch):
+        # the branch face is the first of a short sorted prefix of the residual,
+        # kept up to date cell by cell: over 1,100 nodes the module sorts once
+        # for the cycle check, once at the root and 17 times when the prefix ran empty
+        calls = []
+
+        def counting_sorted(values):
+            calls.append(len(values))
+            return sorted(values)
+
+        monkeypatch.setattr(filling, "sorted", counting_sorted, raising=False)
+        result = exact_fill(random_cycle(10, 1, 0.08, seed=1), 1100)
+        assert result.nodes_explored == 1101
+        assert len(calls) == 19
+
     def test_searches_cubes_of_the_full_width(self):
         # four live coordinates spread over Q_64, the rest pinned: face ranks
         # here run far past any machine word, so the search must not index by them
@@ -617,6 +633,22 @@ class TestExactSearchAgainstItsReference:
         # the cut lands inside runs of judged siblings, on the leaf that
         # improves the best filling, and after it
         z = random_cycle(5, 1, 0.12, 3)
+        for budget in range(1, 301):
+            self.assert_same_search(z, budget)
+
+    # exact_fill branches on the first face of a sorted prefix of the residual,
+    # the reference on min(residual).  Each input below drives every upkeep of
+    # that prefix: a refill when it runs empty below the root, a face entering
+    # below its last one, a face leaving it, and faces above it left out.  The
+    # 1,100-level dive of random_cycle(10, 1, 0.08, seed=1) is in exact_corpus().
+
+    def test_degree_zero_cycle(self):
+        # each cell is an edge: a vertex leaves the residual, its neighbour
+        # enters or leaves it
+        self.assert_same_search(random_cycle(6, 0, 0.2, seed=1), 2_000)
+
+    def test_every_budget_cut_of_a_two_cycle(self):
+        z = random_cycle(6, 2, 0.12, seed=2)
         for budget in range(1, 301):
             self.assert_same_search(z, budget)
 
