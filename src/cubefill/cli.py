@@ -2,7 +2,7 @@
 
 Reports are plain text by default; ``--json`` switches to a stable
 machine-readable form with the fields command, inputs, results, status.
-Exit codes: 0 ok, 2 invalid input, 3 bound violation (tripwire), 4 I/O.
+Exit codes: 0 ok, 2 invalid input, 3 bound violation or engine error, 4 I/O.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .constants import BOUND_REL_TOL, c_constant, leq_with_tolerance
 from .faces import MAX_COORDINATES, _word, face_count
 from .filling import (
     DEFAULT_NODE_BUDGET,
+    FillRefused,
     connected_components,
     exact_fill,
     linear_fill,
@@ -64,11 +65,8 @@ def _listed_boundary(boundary: Chain) -> dict:
     }
 
 
-def _invalid(command: str, inputs: dict, message: str, as_json: bool, extra: dict | None = None) -> int:
-    results = {"error": message}
-    if extra:
-        results.update(extra)
-    _emit(_report(command, inputs, results, status="invalid-input"), as_json)
+def _invalid(command: str, inputs: dict, message: str, as_json: bool, **extra) -> int:
+    _emit(_report(command, inputs, {"error": message, **extra}, status="invalid-input"), as_json)
     return EXIT_INVALID
 
 
@@ -128,15 +126,15 @@ def _cmd_fill(args: argparse.Namespace) -> int:
             result = recursive_fill(z)
         else:
             result = exact_fill(z, args.budget)
-    except ValueError as exc:
-        # The engines check the input; only a refused one pays for listing
-        # its boundary.
-        boundary = z.boundary()
-        if boundary.codes:
-            extra = {"n": z.n, "k": z.k, "input_norm": z.norm}
-            extra.update(_listed_boundary(boundary))
-            return _invalid("fill", inputs, "input chain is not a cycle", args.json, extra)
-        return _invalid("fill", inputs, str(exc), args.json)
+    except FillRefused as exc:
+        if exc.boundary is None:
+            return _invalid("fill", inputs, str(exc), args.json)
+        return _invalid("fill", inputs, "input chain is not a cycle", args.json, n=z.n, k=z.k,
+                        input_norm=z.norm, **_listed_boundary(exc.boundary))
+    except Exception as exc:
+        results = {"error": f"{type(exc).__name__}: {exc}"}
+        _emit(_report("fill", inputs, results, status="engine-error"), args.json)
+        return EXIT_BOUND_VIOLATION
     out_path = f"{args.path}.fill"
     write_chain(result.filling, out_path)
     valid = result.filling.boundary() == z

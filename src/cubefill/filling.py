@@ -63,6 +63,7 @@ from .faces import Face, _bits, _boundary, _coboundary, _face, _field, _free_at,
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
+    "FillRefused",
     "FillResult",
     "linear_fill",
     "recursive_fill",
@@ -96,11 +97,18 @@ class FillResult(namedtuple(
     __slots__ = ()
 
 
+class FillRefused(ValueError):
+    """An engine's refusal of its input: ``boundary`` is a non-cycle's boundary, else None."""
+
+    def __init__(self, message: str, boundary: Chain | None = None):
+        super().__init__(message)
+        self.boundary = boundary
+
+
 def _require_cycle(z: Chain) -> None:
-    boundary = sorted(z.boundary().codes)
-    if boundary:
-        sample = ", ".join(_word(code, z.n) for code in boundary[:6])
-        raise ValueError(f"chain is not a cycle: boundary has {len(boundary)} faces ({sample})")
+    if (boundary := z.boundary()).codes:
+        sample = ", ".join(_word(code, z.n) for code in sorted(boundary.codes)[:6])
+        raise FillRefused(f"chain is not a cycle: boundary has {boundary.norm} faces ({sample})", boundary)
 
 
 def fill_bound_linear(n: int, k: int, norm: int) -> Fraction:
@@ -124,7 +132,7 @@ def fill_bound_power(k: int, norm: int) -> float:
 def _fill_zero_cycle(z: frozenset[int], n: int, out: set[int]) -> None:
     """Pair up vertices and connect each pair by a monotone edge path."""
     if len(z) % 2:
-        raise ValueError("a vertex chain of odd size has no filling")
+        raise FillRefused("a vertex chain of odd size has no filling")
     vertices = sorted(z)
     for current, target in zip(vertices[0::2], vertices[1::2]):
         for bit in _bits(current ^ target):
@@ -307,7 +315,7 @@ def recursive_fill(z: Chain) -> FillResult:
     """Fill a cycle within the certificate c_k * norm(z)^((k+1)/k)."""
     _require_cycle(z)
     if z.codes and z.k < 1:
-        raise ValueError("degree-0 cycles are outside the power-law regime; use linear_fill")
+        raise FillRefused("degree-0 cycles are outside the power-law regime; use linear_fill")
     certificate = fill_bound_power(z.k, z.norm) if z.codes else 0.0
     filling: set[int] = set()
     _recursive_fill_chain(z.codes, z.n, (1 << z.n) - 1, filling)
@@ -372,9 +380,9 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     with ``optimal`` False and ``nodes_explored`` one past the budget.  Node
     counts are deterministic.
     """
-    if node_budget <= 0:
-        raise ValueError("node budget must be positive")
     _require_cycle(z)
+    if node_budget <= 0:
+        raise FillRefused("node budget must be positive")
     if not z.codes:
         empty = Chain._of(z.n, z.k + 1, frozenset())
         return FillResult(empty, "exact", 0, optimal=True, lower_bound=0)

@@ -579,6 +579,26 @@ class TestBoundViolationTripwire:
         assert code == EXIT_BOUND_VIOLATION
         assert report["status"] == "bound-violation"
 
+    @pytest.mark.parametrize("strategy", ["linear", "recursive", "exact"])
+    @pytest.mark.parametrize(
+        "fault", [ValueError("list.remove(x): x not in list"), KeyError(17)],
+        ids=["ValueError", "KeyError"],
+    )
+    def test_engine_fault(self, hexagon_file, monkeypatch, capsys, strategy, fault):
+        # only the engines' own refusals are invalid input; anything else an
+        # engine raises is a fault in it, reported without a traceback
+        def broken(*args):
+            raise fault
+
+        monkeypatch.setattr(f"cubefill.cli.{strategy}_fill", broken)
+        code = main(["fill", str(hexagon_file), "--strategy", strategy, "--json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_BOUND_VIOLATION, "")
+        report = json.loads(out)
+        assert report["status"] == "engine-error"
+        assert report["results"] == {"error": f"{type(fault).__name__}: {fault}"}
+        assert not (hexagon_file.parent / "hex.chain.fill").exists()
+
     def test_exact_lower_bound_above_the_norm(self, hexagon_file, monkeypatch, capsys):
         filling = exact_fill(HEXAGON).filling
         result = FillResult(filling, "exact", filling.norm, True, 0, filling.norm + 1)

@@ -12,6 +12,7 @@ import pytest
 from cubefill import (
     BOUND_REL_TOL,
     DEFAULT_NODE_BUDGET,
+    FillRefused,
     FillResult,
     Chain,
     c_constant,
@@ -446,6 +447,12 @@ class TestExactFill:
             assert result.nodes_explored == 0
             assert result.lower_bound == 0
 
+    def test_proves_the_14_7_minimizer_at_the_root(self):
+        # the slicing bound meets the linear seed, C(14, 8) cells, before any node
+        result = exact_fill(minimizer_cycle(14, 7))
+        assert (result.optimal, result.nodes_explored, result.lower_bound) == (True, 0, 3003)
+        assert result.filling.norm == minimizer_fill_value(14, 7) == 3003
+
     def test_tiny_budget_still_returns_valid_filling(self):
         # the linear seed (6 cells) is above the slicing bound (5), so the
         # search must run to prove it optimal
@@ -513,7 +520,8 @@ class TestExactFill:
     def test_deep_search_sorts_the_residual_rarely(self, monkeypatch):
         # the branch face is the first of a short sorted prefix of the residual,
         # kept up to date cell by cell: over 1,100 nodes the module sorts once
-        # for the cycle check, once at the root and 17 times when the prefix ran empty
+        # at the root and 17 times when the prefix ran empty (the cycle check
+        # sorts only a boundary it refuses)
         calls = []
 
         def counting_sorted(values):
@@ -523,7 +531,7 @@ class TestExactFill:
         monkeypatch.setattr(filling, "sorted", counting_sorted, raising=False)
         result = exact_fill(random_cycle(10, 1, 0.08, seed=1), 1100)
         assert result.nodes_explored == 1101
-        assert len(calls) == 19
+        assert len(calls) == 18
 
     def test_searches_cubes_of_the_full_width(self):
         # four live coordinates spread over Q_64, the rest pinned: face ranks
@@ -1014,6 +1022,47 @@ class TestBounds:
             fill_bound_linear(2, 3, 4)
         with pytest.raises(ValueError):
             fill_bound_power(0, 4)
+
+
+ODD_VERTICES = Chain.from_words("000", "011", "101")
+
+
+class TestFillRefused:
+    """Every input an engine refuses raises one FillRefused, still a ValueError."""
+
+    @pytest.mark.parametrize(
+        "engine, z, message",
+        [
+            (linear_fill, ODD_VERTICES, "a vertex chain of odd size has no filling"),
+            (exact_fill, ODD_VERTICES, "a vertex chain of odd size has no filling"),
+            (
+                recursive_fill,
+                Chain.from_words("00", "11"),
+                "degree-0 cycles are outside the power-law regime; use linear_fill",
+            ),
+            (partial(exact_fill, node_budget=0), HEXAGON, "node budget must be positive"),
+        ],
+        ids=["odd-linear", "odd-exact", "degree-0-recursive", "budget-0-exact"],
+    )
+    def test_refused_cycles_carry_no_boundary(self, engine, z, message):
+        with pytest.raises(FillRefused, match=message) as refused:
+            engine(z)
+        assert isinstance(refused.value, ValueError)
+        assert refused.value.boundary is None
+
+    @pytest.mark.parametrize(
+        "engine",
+        [linear_fill, recursive_fill, exact_fill, partial(exact_fill, node_budget=0)],
+        ids=["linear", "recursive", "exact", "exact-budget-0"],
+    )
+    def test_a_non_cycle_carries_its_boundary(self, engine):
+        # the cycle check comes before the budget's, so a non-cycle under a
+        # zero budget is refused as a non-cycle
+        z = Chain.from_words("*00", "0*0", "1*1")
+        with pytest.raises(FillRefused, match="not a cycle: boundary has 4 faces") as refused:
+            engine(z)
+        assert isinstance(refused.value, ValueError)
+        assert refused.value.boundary == z.boundary()
 
 
 class TestFillResult:
