@@ -81,7 +81,8 @@ def format_chain_text(chain: Chain) -> str:
 
 def read_chain(path: str | os.PathLike) -> Chain:
     with open(path, "rb") as handle:
-        data = handle.read()
+        # a leading UTF-8 byte-order mark, as some editors write, is not text
+        data = handle.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

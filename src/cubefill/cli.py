@@ -2,7 +2,10 @@
 
 Reports are plain text by default; ``--json`` switches to a stable
 machine-readable form with the fields command, inputs, results, status.
-Exit codes: 0 ok, 2 invalid input, 3 bound violation or engine error, 4 I/O.
+Each command returns its status and its results; ``main`` alone takes the
+inputs off the parsed arguments, reads the chain file of ``fill`` and
+``verify``, emits the report and reads the exit code off the status in one
+table: 0 ok, 2 invalid input, 3 bound violation or engine error, 4 I/O.
 """
 
 from __future__ import annotations
@@ -31,16 +34,16 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BOUND_VIOLATION = 3
 EXIT_IO = 4
+_EXIT_CODES = {"ok": EXIT_OK, "invalid-input": EXIT_INVALID,
+               "bound-violation": EXIT_BOUND_VIOLATION, "engine-error": EXIT_BOUND_VIOLATION}
+# what argparse parses besides a command's inputs
+_NOT_INPUTS = ("command", "func", "json", "csv")
 
 CSV_HEADER = "n,norm,fill,ratio,asymptote,quotient"
 
 _MAX_LISTED_FACES = 20
 # random_cycle draws every (k+1)-cell of Q_n; (14, 4) has 1,025,024 of them.
 _MAX_RANDOM_CELLS = 1 << 20
-
-
-def _report(command: str, inputs: dict, results: dict, status: str = "ok") -> dict:
-    return {"command": command, "inputs": inputs, "results": results, "status": status}
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -65,26 +68,22 @@ def _listed_boundary(boundary: Chain) -> dict:
     }
 
 
-def _invalid(command: str, inputs: dict, message: str, as_json: bool, **extra) -> int:
-    _emit(_report(command, inputs, {"error": message, **extra}, status="invalid-input"), as_json)
-    return EXIT_INVALID
+def _invalid(message: str, **extra) -> tuple[str, dict]:
+    return "invalid-input", {"error": message, **extra}
 
 
-def _cmd_gen_minimizer(args: argparse.Namespace) -> int:
-    inputs = {"n": args.n, "k": args.k, "out": args.out}
+def _cmd_gen_minimizer(args: argparse.Namespace) -> tuple[str, dict]:
     if not 1 <= args.k < args.n <= 20:
-        return _invalid("gen-minimizer", inputs, "need 1 <= k < n <= 20", args.json)
+        return _invalid("need 1 <= k < n <= 20")
     chain = minimizer_cycle(args.n, args.k)
     write_chain(chain, args.out)
     fill_value = minimizer_fill_value(args.n, args.k)
-    results = {
+    return "ok", {
         "norm": chain.norm,
         "norm_formula": f"2*C({args.n},{args.k}) = {minimizer_norm(args.n, args.k)}",
         "fill_value": fill_value,
         "fill_formula": f"C({args.n},{args.k + 1}) = {fill_value}",
     }
-    _emit(_report("gen-minimizer", inputs, results), args.json)
-    return EXIT_OK
 
 
 def _certificate_fields(z: Chain, result) -> dict:
@@ -113,12 +112,7 @@ def _bound_holds(result) -> bool:
     return leq_with_tolerance(float(result.filling.norm), float(certificate), BOUND_REL_TOL)
 
 
-def _cmd_fill(args: argparse.Namespace) -> int:
-    inputs = {"path": args.path, "strategy": args.strategy, "budget": args.budget}
-    try:
-        z = read_chain(args.path)
-    except ChainFormatError as exc:
-        return _invalid("fill", inputs, str(exc), args.json)
+def _cmd_fill(args: argparse.Namespace, z: Chain) -> tuple[str, dict]:
     try:
         if args.strategy == "linear":
             result = linear_fill(z)
@@ -128,17 +122,14 @@ def _cmd_fill(args: argparse.Namespace) -> int:
             result = exact_fill(z, args.budget)
     except FillRefused as exc:
         if exc.boundary is None:
-            return _invalid("fill", inputs, str(exc), args.json)
-        return _invalid("fill", inputs, "input chain is not a cycle", args.json, n=z.n, k=z.k,
-                        input_norm=z.norm, **_listed_boundary(exc.boundary))
+            return _invalid(str(exc))
+        return _invalid("input chain is not a cycle", n=z.n, k=z.k, input_norm=z.norm,
+                        **_listed_boundary(exc.boundary))
     except Exception as exc:
-        results = {"error": f"{type(exc).__name__}: {exc}"}
-        _emit(_report("fill", inputs, results, status="engine-error"), args.json)
-        return EXIT_BOUND_VIOLATION
+        return "engine-error", {"error": f"{type(exc).__name__}: {exc}"}
     out_path = f"{args.path}.fill"
     write_chain(result.filling, out_path)
     valid = result.filling.boundary() == z
-    status = "ok" if valid and _bound_holds(result) else "bound-violation"
     results = {
         "n": z.n,
         "k": z.k,
@@ -150,16 +141,10 @@ def _cmd_fill(args: argparse.Namespace) -> int:
         "lower_bound": result.lower_bound,
     }
     results.update(_certificate_fields(z, result))
-    _emit(_report("fill", inputs, results, status=status), args.json)
-    return EXIT_OK if status == "ok" else EXIT_BOUND_VIOLATION
+    return "ok" if valid and _bound_holds(result) else "bound-violation", results
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    inputs = {"path": args.path}
-    try:
-        z = read_chain(args.path)
-    except ChainFormatError as exc:
-        return _invalid("verify", inputs, str(exc), args.json)
+def _cmd_verify(args: argparse.Namespace, z: Chain) -> tuple[str, dict]:
     boundary = z.boundary()
     results = {
         "n": z.n,
@@ -171,56 +156,43 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     if boundary.codes:
         results.update(_listed_boundary(boundary))
-    _emit(_report("verify", inputs, results), args.json)
-    return EXIT_OK
+    return "ok", results
 
 
-def _cmd_sharpness(args: argparse.Namespace) -> int:
-    inputs = {"k": args.k, "n_max": args.n_max}
+def _cmd_sharpness(args: argparse.Namespace) -> tuple[str, dict] | None:
     if args.k < 1 or args.n_max <= args.k:
-        return _invalid("sharpness", inputs, "need k >= 1 and n_max > k", args.json)
+        return _invalid("need k >= 1 and n_max > k")
     try:
         rows = sharpness_table(args.k, range(args.k + 1, args.n_max + 1))
     except ValueError as exc:
-        return _invalid("sharpness", inputs, str(exc), args.json)
+        return _invalid(str(exc))
     if args.csv:
         print(CSV_HEADER)
         for row in rows:
             print(
                 f"{row.n},{row.norm},{row.fill},{row.ratio!r},{row.asymptote!r},{row.quotient!r}"
             )
-        return EXIT_OK
-    if args.json:
-        results = {"rows": [row._asdict() for row in rows]}
-        _emit(_report("sharpness", inputs, results), True)
-        return EXIT_OK
-    print(f"{'n':>6} {'norm':>12} {'fill':>14} {'ratio':>12} {'asymptote':>12} {'quotient':>10}")
-    for row in rows:
-        print(
-            f"{row.n:>6} {row.norm:>12} {row.fill:>14} "
-            f"{row.ratio:>12.8f} {row.asymptote:>12.8f} {row.quotient:>10.6f}"
-        )
-    return EXIT_OK
+    elif args.json:
+        return "ok", {"rows": [row._asdict() for row in rows]}
+    else:
+        print(f"{'n':>6} {'norm':>12} {'fill':>14} "
+              f"{'ratio':>12} {'asymptote':>12} {'quotient':>10}")
+        for row in rows:
+            print(
+                f"{row.n:>6} {row.norm:>12} {row.fill:>14} "
+                f"{row.ratio:>12.8f} {row.asymptote:>12.8f} {row.quotient:>10.6f}"
+            )
 
 
-def _cmd_random(args: argparse.Namespace) -> int:
-    inputs = {
-        "n": args.n,
-        "k": args.k,
-        "density": args.density,
-        "seed": args.seed,
-        "out": args.out,
-    }
+def _cmd_random(args: argparse.Namespace) -> tuple[str, dict]:
     try:
         if args.n > MAX_COORDINATES or face_count(args.n, args.k + 1) > _MAX_RANDOM_CELLS:
             raise ValueError(f"need n <= {MAX_COORDINATES} and at most 2**20 cells of dimension k+1")
         z = random_cycle(args.n, args.k, args.density, args.seed)
     except ValueError as exc:
-        return _invalid("random", inputs, str(exc), args.json)
+        return _invalid(str(exc))
     write_chain(z, args.out)
-    results = {"norm": z.norm, "cycle": z.is_cycle()}
-    _emit(_report("random", inputs, results), args.json)
-    return EXIT_OK
+    return "ok", {"norm": z.norm, "cycle": z.is_cycle()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,43 +201,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generate, fill, check and tabulate Z2 cycles in the n-cube.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
 
-    gen = sub.add_parser("gen-minimizer", help="write an alternating-block cycle to a chain file")
+    gen = sub.add_parser("gen-minimizer", parents=[common],
+                         help="write an alternating-block cycle to a chain file")
     gen.add_argument("n", type=int)
     gen.add_argument("k", type=int)
     gen.add_argument("--out", required=True, help="output chain file")
-    gen.add_argument("--json", action="store_true")
     gen.set_defaults(func=_cmd_gen_minimizer)
 
-    fill = sub.add_parser("fill", help="fill the cycle in a chain file")
+    fill = sub.add_parser("fill", parents=[common], help="fill the cycle in a chain file")
     fill.add_argument("path", help="input chain file; the filling goes to <path>.fill")
     fill.add_argument(
         "--strategy", choices=("linear", "recursive", "exact"), default="linear"
     )
     fill.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                       help="node budget for the exact search")
-    fill.add_argument("--json", action="store_true")
     fill.set_defaults(func=_cmd_fill)
 
-    verify = sub.add_parser("verify", help="report cycle status and shape of a chain file")
+    verify = sub.add_parser("verify", parents=[common],
+                            help="report cycle status and shape of a chain file")
     verify.add_argument("path")
-    verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
-    sharp = sub.add_parser("sharpness", help="tabulate fill/norm ratios for the extremal family")
+    sharp = sub.add_parser("sharpness", parents=[common],
+                           help="tabulate fill/norm ratios for the extremal family")
     sharp.add_argument("k", type=int)
     sharp.add_argument("--n-max", type=int, default=20)
     sharp.add_argument("--csv", action="store_true")
-    sharp.add_argument("--json", action="store_true")
     sharp.set_defaults(func=_cmd_sharpness)
 
-    rand = sub.add_parser("random", help="write a seeded random cycle to a chain file")
+    rand = sub.add_parser("random", parents=[common],
+                          help="write a seeded random cycle to a chain file")
     rand.add_argument("n", type=int)
     rand.add_argument("k", type=int)
     rand.add_argument("--density", type=float, default=0.1)
     rand.add_argument("--seed", type=int, default=0)
     rand.add_argument("--out", required=True)
-    rand.add_argument("--json", action="store_true")
     rand.set_defaults(func=_cmd_random)
 
     return parser
@@ -273,8 +246,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    inputs = {key: value for key, value in vars(args).items() if key not in _NOT_INPUTS}
     try:
-        return args.func(args)
+        try:
+            chains = [read_chain(args.path)] if "path" in inputs else []
+            outcome = args.func(args, *chains)
+        except ChainFormatError as exc:
+            outcome = _invalid(str(exc))
+        if outcome is None:  # sharpness printed its table
+            return EXIT_OK
+        status, results = outcome
+        report = {"command": args.command, "inputs": inputs, "results": results, "status": status}
+        _emit(report, args.json)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return _EXIT_CODES[status]

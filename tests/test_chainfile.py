@@ -102,6 +102,21 @@ def test_undecodable_file_reports_line(tmp_path):
     assert "UTF-8" in str(info.value)
 
 
+def test_a_leading_byte_order_mark_is_not_text(tmp_path):
+    path = tmp_path / "bom.chain"
+    path.write_bytes(b"\xef\xbb\xbf" + format_chain_text(minimizer_cycle(3, 1)).encode())
+    assert read_chain(path) == minimizer_cycle(3, 1)
+
+
+def test_a_file_with_a_byte_order_mark_reports_its_undecodable_line(tmp_path):
+    # decoding as utf-8-sig would count the bad byte's offset past the mark
+    path = tmp_path / "bom.chain"
+    path.write_bytes(b"\xef\xbb\xbfcube 2 1\n*0\n\xff0\n")
+    with pytest.raises(ChainFormatError) as info:
+        read_chain(path)
+    assert str(info.value) == "line 3: not UTF-8 text"
+
+
 # each file holds two errors; the earlier line is reported, whichever kind it is
 @pytest.mark.parametrize(
     "text, line, message",

@@ -62,6 +62,18 @@ class TestGenMinimizer:
         assert code == EXIT_INVALID
         assert report["status"] == "invalid-input"
 
+    def test_text_report_of_a_bad_range(self, tmp_path, capsys):
+        out = tmp_path / "x.chain"
+        assert main(["gen-minimizer", "3", "3", "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().out.splitlines() == [
+            "gen-minimizer: invalid-input",
+            "  n: 3",
+            "  k: 3",
+            f"  out: {out}",
+            "  error: need 1 <= k < n <= 20",
+        ]
+        assert not out.exists()
+
 
 class TestFill:
     @pytest.fixture
@@ -194,6 +206,9 @@ class TestVerify:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["verify", str(tmp_path / "absent.chain")])
         assert code == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("i/o error: ")
 
 
 @pytest.mark.parametrize("command", ["fill", "verify"])
@@ -336,6 +351,28 @@ class TestSharpness:
         assert code == EXIT_OK
         assert [row["n"] for row in report["results"]["rows"]] == [2, 3, 4]
 
+    def test_json_report(self, capsys):
+        code, report = run_json(capsys, ["sharpness", "1", "--n-max", "2", "--json"])
+        assert code == EXIT_OK
+        # --csv is a format, not an input
+        assert report == {
+            "command": "sharpness",
+            "inputs": {"k": 1, "n_max": 2},
+            "results": {
+                "rows": [
+                    {"n": 2, "norm": 4, "fill": 1, "ratio": 0.0625, "asymptote": 0.125,
+                     "quotient": 0.5}
+                ]
+            },
+            "status": "ok",
+        }
+
+    def test_csv_wins_over_json(self, capsys):
+        assert main(["sharpness", "2", "--n-max", "4", "--csv", "--json"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
+
     def test_text_table(self, capsys):
         code = main(["sharpness", "1", "--n-max", "3"])
         out = capsys.readouterr().out
@@ -390,6 +427,21 @@ class TestRandom:
         assert code == EXIT_OK
         code, report = run_json(capsys, ["verify", str(path), "--json"])
         assert report["results"]["cycle"] is True
+
+    def test_json_report(self, tmp_path, capsys):
+        path = tmp_path / "r.chain"
+        code, report = run_json(
+            capsys,
+            ["random", "5", "2", "--density", "0.2", "--seed", "3", "--out", str(path), "--json"],
+        )
+        assert code == EXIT_OK
+        assert report == {
+            "command": "random",
+            "inputs": {"n": 5, "k": 2, "density": 0.2, "seed": 3, "out": str(path)},
+            "results": {"norm": read_chain(path).norm, "cycle": True},
+            "status": "ok",
+        }
+        assert list(report["inputs"]) == ["n", "k", "density", "seed", "out"]
 
     def test_zero_density_writes_header_only(self, tmp_path, capsys):
         path = tmp_path / "empty.chain"
