@@ -2,17 +2,19 @@
 
 A chain keeps its support as a frozenset of int codes (see ``faces``), and
 every operation here works on the codes; sums are symmetric differences.
-``Face`` objects are built only when ``support`` is read.
+``Face`` objects are built only when ``support`` is read.  A dense chain's boundary is
+summed as byte-per-vertex numerals; wide cubes need sets of codes, as 2^n bytes is too many.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
+from math import comb
 
 from .faces import (
-    MAX_COORDINATES, Face, _degree_codes, _delete, _face, _free_at, _frozen, _insert,
-    _parse_words, _split,
+    MAX_COORDINATES, Face, _degree_codes, _delete, _dense_boundary, _face, _free_at, _frozen,
+    _insert, _parse_words, _split,
 )
 
 __all__ = [
@@ -22,6 +24,8 @@ __all__ = [
 ]
 
 _INJECT_BITS = {"fixed-0": (0, 0), "fixed-1": (0, 1), "free": (1, 0)}  # (star, one) put in
+# numerals sum a boundary while comb(n, k) * 2^n <= _DENSE * k * norm, where they beat sets
+_DENSE = 64
 
 
 class Chain:
@@ -105,15 +109,18 @@ class Chain:
         return Chain._of(self.n, self.k, self.codes ^ other.codes)
 
     def boundary(self) -> Chain:
-        """Z2 sum of the face boundaries, one degree down."""
-        n = self.n
+        """Z2 sum of the face boundaries, one degree down: as numerals when comb(n, k) * 2^n
+        <= ``_DENSE`` * k * norm, else as sets of codes, which grow with the norm, not 2^n."""
+        n, k, codes = self.n, self.k, self.codes
+        if k >= 1 and comb(n, k) << n <= _DENSE * k * len(codes):
+            return Chain._of(n, k - 1, frozenset(_dense_boundary(codes, n)))
         odd: set[int] = set()
         # faces free at a coordinate drop it in two ways, one XOR each
-        for bit, free in _free_at(list(self.codes), n):
+        for bit, free in _free_at(list(codes), n):
             free = list(free)
             odd ^= set(map((bit << n).__xor__, free))
             odd ^= set(map((bit << n | bit).__xor__, free))
-        return Chain._of(n, max(self.k - 1, -1), frozenset(odd))
+        return Chain._of(n, max(k - 1, -1), frozenset(odd))
 
     def is_cycle(self) -> bool:
         return not self.boundary().codes

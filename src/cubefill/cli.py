@@ -44,6 +44,8 @@ CSV_HEADER = "n,norm,fill,ratio,asymptote,quotient"
 _MAX_LISTED_FACES = 20
 # random_cycle draws every (k+1)-cell of Q_n; (14, 4) has 1,025,024 of them.
 _MAX_RANDOM_CELLS = 1 << 20
+# sharpness holds its whole table, about 2 KB a row with --json
+_MAX_SHARPNESS_ROWS = 1 << 16
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -160,8 +162,8 @@ def _cmd_verify(args: argparse.Namespace, z: Chain) -> tuple[str, dict]:
 
 
 def _cmd_sharpness(args: argparse.Namespace) -> tuple[str, dict] | None:
-    if args.k < 1 or args.n_max <= args.k:
-        return _invalid("need k >= 1 and n_max > k")
+    if not 1 <= args.k < args.n_max <= args.k + _MAX_SHARPNESS_ROWS:
+        return _invalid(f"need k >= 1 and k < n_max <= k + {_MAX_SHARPNESS_ROWS}")
     try:
         rows = sharpness_table(args.k, range(args.k + 1, args.n_max + 1))
     except ValueError as exc:

@@ -85,6 +85,22 @@ def _boundary(code: int, n: int) -> frozenset[int]:
     return frozenset(cells)
 
 
+def _dense_boundary(codes: Iterable[int], n: int) -> list[int]:
+    """The boundary of k-cells, k >= 1, of Q_n: per free mask a numeral v has byte f set for
+    each cell mask << n | f, and pinning each free bit adds v ^ v << 8 * bit to mask ^ bit."""
+    size = 1 << n
+    facets: dict[int, int] = {}
+    for mask, group in itertools.groupby(sorted(codes), n.__rrshift__):
+        row = bytearray(size)
+        for fixed in map((size - 1).__and__, group):
+            row[fixed] = 1
+        v = int.from_bytes(row, "little")
+        for bit in _bits(mask):
+            facets[mask ^ bit] = facets.get(mask ^ bit, 0) ^ v ^ v << 8 * bit
+    return [mask << n | f for mask, x in facets.items() if x
+            for f in itertools.compress(range(size), x.to_bytes(size, "little"))]
+
+
 def _coboundary(code: int, n: int) -> list[int]:
     """The n-k codes one dimension up, one per way of freeing a pinned coordinate,
     lowest first; freeing a higher coordinate gives a larger code."""

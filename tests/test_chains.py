@@ -4,22 +4,26 @@ import pickle
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cubefill.chains as chains_module
 from cubefill import (
     Chain,
     SliceDecomposition,
     enumerate_faces,
     format_chain_text,
     linear_fill,
+    minimizer_cycle,
     parse_chain_text,
     parse_face,
     random_cycle,
     read_chain,
     write_chain,
 )
+from cubefill.faces import _dense_boundary
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
 
@@ -102,6 +106,17 @@ def reference_boundary(z):
     return Chain(z.n, max(z.k - 1, -1), frozenset(g for g, c in counts.items() if c % 2))
 
 
+# Chain.boundary's rule forced to one kernel: 0 sends every chain to the sets of
+# codes, 2^80 every chain of degree >= 1 to the numerals
+KERNELS = pytest.mark.parametrize("dense", [0, 1 << 80], ids=["sets", "numerals"])
+
+
+def boundary_and_kernel(z):
+    """z's boundary under the module's own rule, and whether the numerals summed it."""
+    with mock.patch.object(chains_module, "_dense_boundary", wraps=_dense_boundary) as spy:
+        return z.boundary(), spy.called
+
+
 class TestBoundary:
     @given(chains())
     @settings(max_examples=200)
@@ -129,6 +144,106 @@ class TestBoundary:
                     words.add("".join("*" if j in stars else rng.choice("01") for j in range(n)))
                 z = Chain.from_words(*words)
                 assert z.boundary() == reference_boundary(z), (n, k)
+
+    @KERNELS
+    @given(z=chains())
+    @settings(max_examples=150)
+    def test_each_kernel_matches_the_reference(self, dense, z):
+        with mock.patch.object(chains_module, "_DENSE", dense):
+            assert z.boundary() == reference_boundary(z)
+
+    @KERNELS
+    @given(z=cycles())
+    @settings(max_examples=30, deadline=None)
+    def test_each_kernel_on_cycles_and_broken_cycles(self, dense, z):
+        broken = z + Chain(z.n, z.k, frozenset(sorted(z.support)[::3]))
+        with mock.patch.object(chains_module, "_DENSE", dense):
+            assert z.boundary() == Chain(z.n, z.k - 1)
+            assert broken.boundary() == reference_boundary(broken)
+
+    @pytest.mark.parametrize(
+        "make, numerals",
+        [
+            (lambda: random_cycle(12, 1, 0.01, 3), True),
+            (lambda: random_cycle(10, 3, 0.01, 6), True),
+            (lambda: random_cycle(9, 3, 0.05, 2), True),
+            (lambda: random_cycle(12, 1, 0.001, 3), False),
+            (lambda: random_cycle(9, 2, 0.003, 5), False),
+            (lambda: minimizer_cycle(12, 3), False),
+        ],
+        ids=["Q12k1", "Q10k3", "Q9k3", "Q12k1-sparse", "Q9k2-sparse", "minimizer-12-3"],
+    )
+    def test_matches_the_reference_on_each_side_of_the_rule(self, make, numerals):
+        z = make()
+        # one face dropped: the boundary left is that face's 2k facets
+        lone = Chain(z.n, z.k, {min(z.support)})
+        for chain, want in ((z, Chain(z.n, z.k - 1)), (z + lone, lone.boundary())):
+            got, kernel = boundary_and_kernel(chain)
+            assert kernel == numerals
+            assert got == want == reference_boundary(chain)
+
+    @pytest.mark.parametrize(
+        "words, numerals",
+        [
+            (["*000"], True),  # comb(4, 1) * 2^4 = 64 * 1 * 1: at the rule
+            (["*0000", "0*000"], False),  # 160 > 64 * 1 * 2
+            (["*0000", "0*000", "00*00"], True),  # 160 <= 64 * 1 * 3
+        ],
+        ids=["at", "above", "below"],
+    )
+    def test_the_rule_at_its_edge(self, words, numerals):
+        z = Chain.from_words(*words)
+        got, kernel = boundary_and_kernel(z)
+        assert kernel == numerals
+        assert got == reference_boundary(z)
+
+    @KERNELS
+    def test_a_facet_mask_whose_contributions_all_cancel(self, dense):
+        # the 3-cube's boundary less its square 1**: the squares free at coordinate 1
+        # meet in pairs on the four edges *00, *01, *10, *11, which all cancel
+        z = Chain.from_words("**0", "**1", "*0*", "*1*", "0**")
+        with mock.patch.object(chains_module, "_DENSE", dense):
+            got = z.boundary()
+        assert got == Chain.from_words("1*0", "1*1", "10*", "11*") == reference_boundary(z)
+
+    @KERNELS
+    @pytest.mark.parametrize("word", ["*", "***", "*****"])
+    def test_a_top_degree_chain(self, dense, word):
+        z = Chain.from_words(word)
+        with mock.patch.object(chains_module, "_DENSE", dense):
+            got = z.boundary()
+        assert got == reference_boundary(z) and got.norm == 2 * len(word)
+
+    @KERNELS
+    def test_a_single_free_mask_group(self, dense):
+        z = Chain.from_words("0*01", "1*01", "1*11", "0*10")
+        with mock.patch.object(chains_module, "_DENSE", dense):
+            got = z.boundary()
+        assert got == reference_boundary(z)
+        assert got == Chain.from_words(
+            "0001", "0101", "1001", "1101", "1011", "1111", "0010", "0110"
+        )
+
+    def test_numerals_match_sets_on_seeded_random_chains(self):
+        rng = random.Random(23)
+        pools = {
+            (n, k): [face.code for face in enumerate_faces(n, k)]
+            for n in range(1, 10) for k in range(1, n + 1)
+        }
+        zs = []
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            k = rng.randint(1, n)
+            pool = pools[n, k]
+            codes = rng.sample(pool, rng.randint(0, min(400, len(pool))))
+            zs.append(Chain._of(n, k, frozenset(codes)))
+        with mock.patch.object(chains_module, "_DENSE", 0):
+            sets = [z.boundary() for z in zs]
+        assert [frozenset(_dense_boundary(z.codes, z.n)) for z in zs] == [b.codes for b in sets]
+        # under the module's own rule both kernels run, and agree with the sets
+        with mock.patch.object(chains_module, "_dense_boundary", wraps=_dense_boundary) as spy:
+            assert [z.boundary() for z in zs] == sets
+        assert 500 <= spy.call_count <= 1500
 
     def test_vertex_chain_reference_is_the_empty_degree_minus_one_chain(self):
         z = Chain.from_words("010", "111")

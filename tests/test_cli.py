@@ -383,6 +383,28 @@ class TestSharpness:
         code, report = run_json(capsys, ["sharpness", "2", "--n-max", "2", "--json"])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("n_max", [1 + 65537, 100_000_000])
+    def test_more_than_65536_rows_are_refused_before_any_is_built(self, capsys, monkeypatch, n_max):
+        def refuse(*args):
+            raise AssertionError("sharpness_table called")
+
+        monkeypatch.setattr("cubefill.cli.sharpness_table", refuse)
+        code = main(["sharpness", "1", "--n-max", str(n_max)])
+        out = capsys.readouterr().out
+        assert code == EXIT_INVALID
+        assert out.splitlines()[0] == "sharpness: invalid-input"
+        assert "quotient" not in out and "65536" in out
+        code, report = run_json(capsys, ["sharpness", "1", "--n-max", str(n_max), "--json"])
+        assert (code, report["status"]) == (EXIT_INVALID, "invalid-input")
+        assert "rows" not in report["results"]
+
+    def test_65536_rows_are_a_table(self, capsys):
+        code = main(["sharpness", "1", "--n-max", str(1 + 65536)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert "quotient" in lines[0] and len(lines) == 1 + 65536
+        assert lines[1].split()[0] == "2" and lines[-1].split()[0] == "65537"
+
     @pytest.mark.parametrize(
         "args", [["171", "--n-max", "172"], ["150", "--n-max", "8000"]], ids=["k171", "n8000"]
     )
