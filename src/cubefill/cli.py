@@ -28,7 +28,8 @@ from .filling import (
     recursive_fill,
     support_subcube,
 )
-from .minimizers import minimizer_cycle, minimizer_fill_value, minimizer_norm, sharpness_table
+from .minimizers import (SharpnessRow, minimizer_cycle, minimizer_fill_value, minimizer_norm,
+                         sharpness_table)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -39,7 +40,7 @@ _EXIT_CODES = {"ok": EXIT_OK, "invalid-input": EXIT_INVALID,
 # what argparse parses besides a command's inputs
 _NOT_INPUTS = ("command", "func", "json", "csv")
 
-CSV_HEADER = "n,norm,fill,ratio,asymptote,quotient"
+CSV_HEADER = ",".join(SharpnessRow._fields)
 
 _MAX_LISTED_FACES = 20
 # random_cycle draws every (k+1)-cell of Q_n; (14, 4) has 1,025,024 of them.
@@ -171,9 +172,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> tuple[str, dict] | None:
     if args.csv:
         print(CSV_HEADER)
         for row in rows:
-            print(
-                f"{row.n},{row.norm},{row.fill},{row.ratio!r},{row.asymptote!r},{row.quotient!r}"
-            )
+            print(",".join(map(repr, row)))
     elif args.json:
         return "ok", {"rows": [row._asdict() for row in rows]}
     else:
@@ -194,7 +193,8 @@ def _cmd_random(args: argparse.Namespace) -> tuple[str, dict]:
     except ValueError as exc:
         return _invalid(str(exc))
     write_chain(z, args.out)
-    return "ok", {"norm": z.norm, "cycle": z.is_cycle()}
+    # random_cycle returns a boundary, and every boundary is a cycle
+    return "ok", {"norm": z.norm, "cycle": True}
 
 
 def _build_parser() -> argparse.ArgumentParser:

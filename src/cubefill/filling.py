@@ -390,34 +390,34 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     n = z.n
     best_cells: set[int] = set()
     _linear_fill_chain(z.codes, n, (1 << n) - 1, best_cells)
-    best_weight = len(best_cells)
     denominator = 2 * (z.k + 1)
     bound = -(-z.norm // denominator)
-    if best_weight > bound:
+    if len(best_cells) > bound:
         bound = _lower_bound(z.codes, n, node_budget + z.norm)
 
     cell_boundary = cache(partial(_boundary, n=n))
     cells_on = cache(partial(_coboundary, n=n))
     residual = set(z.codes)
-    chosen: set[int] = set()
     excluded: set[int] = set()
     # Depth-first with an explicit stack, so the depth is not capped by the
     # interpreter, and one residual updated in place as cells are chosen and
     # undone.  A node has judged the first ``judged`` of its ``options`` (none
-    # when new); each node on the stack has chosen the last cell it judged, and
-    # keeps ``low``: sorted, exactly the residual's faces up to its last one.
+    # when new).  The stack alone is the path: each frame chose its last judged
+    # cell, ``options[judged - 1]``, which stays in ``excluded`` (so no node below
+    # offers it) until the frame is popped, and keeps ``low``: sorted, exactly
+    # the residual's faces up to its last one.
     stack: list[tuple[list[int], int, list[int]]] = []
     judged = 0
     low: list[int] = []
-    nodes = int(best_weight > bound)
-    while best_weight > bound:
+    nodes = int(len(best_cells) > bound)
+    while len(best_cells) > bound:
         if not judged:
             if not low:
                 low = sorted(residual)[:_LOW]
-            options = [c for c in cells_on(low[0]) if c not in chosen and c not in excluded]
+            options = [c for c in cells_on(low[0]) if c not in excluded]
         # A child's boundary clears h residual faces and adds a = 2(k+1) - h, leaving
         # len(residual) - 2(k+1) + 2a: weight + 1 + ceil(left / (2(k+1))) < best iff a <= allow.
-        allow = (denominator * (best_weight - len(chosen) - 1) - len(residual)) // 2
+        allow = (denominator * (len(best_cells) - len(stack) - 1) - len(residual)) // 2
         start = judged
         for cell in options[judged:]:
             judged += 1
@@ -434,17 +434,12 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
             if not stack:
                 break
             options, judged, low = stack.pop()
-            cell = options[judged - 1]
-            chosen.remove(cell)
-            residual ^= cell_boundary(cell)
+            residual ^= cell_boundary(options[judged - 1])
             continue
-        # excluded with the children passed over: no node below offers a chosen cell
         excluded.update(options[start:judged])
         if residual == boundary:
-            best_weight = len(chosen) + 1
-            best_cells = chosen | {cell}
+            best_cells = {o[j - 1] for o, j, _ in stack} | {cell}
         else:
-            chosen.add(cell)
             residual ^= boundary
             stack.append((options, judged, low))
             # the branch face leaves; faces above the last one of ``low`` stay out of it
@@ -458,4 +453,4 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
             judged = 0
     nodes = min(nodes, node_budget + 1)
     best = Chain._of(n, z.k + 1, frozenset(best_cells))
-    return FillResult(best, "exact", best_weight, nodes <= node_budget, nodes, lower_bound=bound)
+    return FillResult(best, "exact", len(best_cells), nodes <= node_budget, nodes, lower_bound=bound)

@@ -46,16 +46,12 @@ def _block_masks(n: int, stars: tuple[int, ...], leading: int) -> tuple[int, int
 
 
 def _minimizer_chain(n: int, k: int) -> Chain:
-    """The family member for any 0 <= k <= n.
+    """The family member for any 0 <= k <= n with 1 <= n <= 64, which the callers check.
 
     k = 0 gives the two antipodal constant vertices; k = n degenerates to
     the empty chain (both leading values name the same all-free face, which
     cancels over Z2).
     """
-    if not 0 <= k <= n or n < 1:
-        raise ValueError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
-    if n > MAX_COORDINATES:
-        raise ValueError(f"dimension {n} outside [0, {MAX_COORDINATES}]")
     codes: set[int] = set()
     for stars in itertools.combinations(range(n), k):
         for leading in (0, 1):
@@ -68,6 +64,8 @@ def minimizer_cycle(n: int, k: int) -> Chain:
     """The norm-2*C(n,k) cycle that makes both filling bounds tight."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got n={n}, k={k}")
+    if n > MAX_COORDINATES:
+        raise ValueError(f"dimension {n} outside [0, {MAX_COORDINATES}]")
     return _minimizer_chain(n, k)
 
 

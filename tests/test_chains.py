@@ -93,6 +93,18 @@ class TestAddition:
         with pytest.raises(ValueError, match=message):
             Chain(n, k)
 
+    @pytest.mark.parametrize(
+        "n, k, word, message",
+        [
+            (2, 1, "00", "^face 00 does not live in degree 1 of Q_2$"),
+            (3, 1, "0*", r"^face 0\* does not live in degree 1 of Q_3$"),
+            (2, 3, "0*", r"^degree 3 outside \[0, 2\]$"),
+        ],
+    )
+    def test_nonempty_checks_its_faces(self, n, k, word, message):
+        with pytest.raises(ValueError, match=message):
+            Chain(n, k, {parse_face(word)})
+
 
 def reference_boundary(z):
     """The boundary summed face by face with a Counter, each face's boundary
@@ -341,6 +353,18 @@ class TestInjectAndPrism:
         with pytest.raises(ValueError):
             Chain.from_words("0*").inject(1, "pinned-0")
 
+    @pytest.mark.parametrize(
+        "z, coordinate, message",
+        [
+            (HEXAGON, 0, r"^coordinate 0 outside \[1, 4\]$"),
+            (HEXAGON, 5, r"^coordinate 5 outside \[1, 4\]$"),
+            (Chain(64, 0), 1, r"^dimension 65 outside \[0, 64\]$"),
+        ],
+    )
+    def test_coordinate_and_dimension_out_of_range(self, z, coordinate, message):
+        with pytest.raises(ValueError, match=message):
+            z.inject(coordinate, "fixed-0")
+
     def test_prism_of_vertex(self):
         edge = Chain.from_words("0").prism(1)
         assert edge == Chain.from_words("*0")
@@ -484,6 +508,12 @@ class TestValueSemantics:
         with pytest.raises(AttributeError):
             del z.n
         assert (z.n, z.k, z.norm) == (2, 1, 4)
+
+    def test_other_types_do_not_add_or_compare(self):
+        with pytest.raises(TypeError):
+            HEXAGON + 3
+        assert (HEXAGON == 3) is False
+        assert repr(HEXAGON) == "Chain(n=3, k=1, norm=6)"
 
     def test_copies_and_pickles_are_equal(self):
         copies = [copy.copy(HEXAGON), copy.deepcopy(HEXAGON), pickle.loads(pickle.dumps(HEXAGON))]

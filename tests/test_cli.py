@@ -334,6 +334,14 @@ class TestSharpness:
         assert float(last[3]) == 0.12375
         assert float(last[4]) == 0.125
 
+    def test_csv_literal_output(self, capsys):
+        # the header is derived from SharpnessRow's fields, so pin its bytes here
+        code = main(["sharpness", "1", "--n-max", "2", "--csv"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "n,norm,fill,ratio,asymptote,quotient\n2,4,1,0.0625,0.125,0.5\n"
+        )
+
     def test_first_row_for_k2(self, capsys):
         code = main(["sharpness", "2", "--n-max", "4", "--csv"])
         lines = capsys.readouterr().out.strip().splitlines()

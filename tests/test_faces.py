@@ -68,6 +68,18 @@ class TestParseRender:
         with pytest.raises(ValueError):
             Face(2, 0b01, 0b01)
 
+    @pytest.mark.parametrize(
+        "n, free_mask, fixed_bits, message",
+        [
+            (65, 0, 0, r"^dimension 65 outside \[0, 64\]$"),
+            (2, 0b100, 0, "^free mask has bits outside the coordinate range$"),
+            (2, 0, 0b100, "^fixed bits have bits outside the coordinate range$"),
+        ],
+    )
+    def test_fields_outside_the_cube_rejected(self, n, free_mask, fixed_bits, message):
+        with pytest.raises(ValueError, match=message):
+            Face(n, free_mask, fixed_bits)
+
 
 class TestIncidence:
     def test_square_boundary(self):
@@ -177,6 +189,11 @@ class TestValueSemantics:
     def test_never_equals_a_tuple(self):
         assert Face(3, 1, 0) != (3, 1, 0)
         assert (3, 1, 0) != Face(3, 1, 0)
+
+    def test_orders_only_faces_and_reprs_its_word(self):
+        with pytest.raises(TypeError):
+            Face(3, 1, 0) < 3
+        assert repr(parse_face("1*0*")) == "Face('1*0*')"
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         f = Face(3, 1, 0)

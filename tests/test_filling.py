@@ -1022,6 +1022,10 @@ class TestBounds:
             fill_bound_linear(2, 3, 4)
         with pytest.raises(ValueError):
             fill_bound_power(0, 4)
+        with pytest.raises(ValueError, match="^norm must be nonnegative$"):
+            fill_bound_linear(3, 1, -1)
+        with pytest.raises(ValueError, match="^norm must be nonnegative$"):
+            fill_bound_power(1, -1)
 
 
 ODD_VERTICES = Chain.from_words("000", "011", "101")

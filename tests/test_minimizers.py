@@ -46,6 +46,8 @@ class TestConstruction:
             minimizer_norm(4, 4)
         with pytest.raises(ValueError):
             minimizer_fill_value(4, 0)
+        with pytest.raises(ValueError, match=r"^dimension 65 outside \[0, 64\]$"):
+            minimizer_cycle(65, 1)
 
     def test_cycle_and_norm_up_to_twelve(self):
         for n in range(2, 13):
