@@ -22,8 +22,9 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
   judges each child from its parent by its boundary's hits on the residual,
   applies only those that can beat the best filling, and stops at the first
   filling meeting the paper's slicing lower bound, computed once at the root.
-  It branches on the least residual face, read off a short sorted prefix of
-  the residual that each applied cell updates and each undo restores.
+  It branches on the least residual face: in a cube of at most ``_RANKED``
+  k-faces, the lowest bit of the residual kept as one int over the ranked
+  faces; in a larger one, the first of a short sorted prefix of its codes.
 
 All three engines work on the int codes a ``Chain`` keeps, ``free_mask
 << n | fixed_bits``, in the input's own Q_n: the input's codes go in, the
@@ -60,6 +61,7 @@ from operator import or_
 from .chains import Chain
 from .constants import c_constant, constants_for
 from .faces import Face, _bits, _boundary, _coboundary, _face, _field, _free_at, _split, _word
+from .faces import _degree_codes, face_count
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -76,9 +78,11 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
-# How many of the least residual faces the exact search keeps sorted: 16 was the
-# fastest of 4, 8, 16, 32 and the whole residual on the exact-search workload
-_LOW = 16
+# The exact search keeps its residual as one int over the ranked k-faces of cubes with at most
+# _RANKED of them (at 2^12, degree-0 searches of Q_11 and Q_12 ran up to 1.27x slower than on
+# sets), else as a set with its _LOW least faces kept sorted: 16 was the fastest of 4, 8, 16,
+# 32 and the whole residual, measured when every exact-search workload search ran on sets
+_RANKED, _LOW = 1 << 10, 16
 
 
 class FillResult(namedtuple(
@@ -361,14 +365,16 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     Any filling must contain a cell incident to each residual face, so the
     search branches on the coboundary cells of the least residual face, in
     face order, excluding cells already tried at this node so the branches
-    partition the solution space.  The least residual face is the first of a
-    sorted list of the residual's faces up to its last one, at most ``_LOW``
-    long: an applied cell inserts or deletes the faces of its boundary at or
-    below that last one in a copy, the stack keeps each node's list for the
-    undo, and the residual is sorted again only when the list runs empty, so
-    apart from those refills a node's cost does not grow with the residual.
-    Each child counts as a node and is judged from its parent by the
-    residual faces its boundary hits: it is applied only if its weight plus
+    partition the solution space.  A search that runs picks its residual
+    once: in a cube of at most ``_RANKED`` k-faces, one int with bit i set for
+    the i-th k-face in face order, the least residual face its lowest bit;
+    else a set of codes, the least residual face the first of a sorted list of
+    its faces up to its last one, at most ``_LOW`` long: an applied cell
+    inserts or deletes the faces of its boundary at or below that last one in
+    a copy, the stack keeps each node's list for the undo, and the residual is
+    sorted again only when the list runs empty.  Each child counts as a node
+    and is judged from its parent by the residual faces its boundary hits,
+    ``size(boundary & residual)``: it is applied only if its weight plus
     ceil(residual / (2(k+1))) can beat the best known filling (each cell
     clears at most 2(k+1) residual faces).  The search
     stops at the first filling, the linear seed included, that meets
@@ -395,33 +401,41 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     if len(best_cells) > bound:
         bound = _lower_bound(z.codes, n, node_budget + z.norm)
 
-    cell_boundary = cache(partial(_boundary, n=n))
     cells_on = cache(partial(_coboundary, n=n))
-    residual = set(z.codes)
+    faces: list[int] = []
+    if len(best_cells) > bound and face_count(n, z.k) <= _RANKED:
+        faces = list(_degree_codes(n, z.k))
+        rank = {face: i for i, face in enumerate(faces)}
+        cell_boundary = cache(lambda cell: sum(1 << rank[face] for face in _boundary(cell, n)))
+        residual, size = sum(1 << rank[face] for face in z.codes), int.bit_count
+    else:
+        cell_boundary, residual, size = cache(partial(_boundary, n=n)), set(z.codes), len
     excluded: set[int] = set()
     # Depth-first with an explicit stack, so the depth is not capped by the
     # interpreter, and one residual updated in place as cells are chosen and
     # undone.  A node has judged the first ``judged`` of its ``options`` (none
     # when new).  The stack alone is the path: each frame chose its last judged
     # cell, ``options[judged - 1]``, which stays in ``excluded`` (so no node below
-    # offers it) until the frame is popped, and keeps ``low``: sorted, exactly
-    # the residual's faces up to its last one.
+    # offers it) until the frame is popped, and keeps ``low``: on sets, sorted,
+    # exactly the residual's faces up to its last one (ranked, empty).
     stack: list[tuple[list[int], int, list[int]]] = []
     judged = 0
     low: list[int] = []
     nodes = int(len(best_cells) > bound)
     while len(best_cells) > bound:
         if not judged:
-            if not low:
+            if not (faces or low):
                 low = sorted(residual)[:_LOW]
-            options = [c for c in cells_on(low[0]) if c not in excluded]
+            face = faces[(residual & -residual).bit_length() - 1] if faces else low[0]
+            options = [c for c in cells_on(face) if c not in excluded]
         # A child's boundary clears h residual faces and adds a = 2(k+1) - h, leaving
-        # len(residual) - 2(k+1) + 2a: weight + 1 + ceil(left / (2(k+1))) < best iff a <= allow.
-        allow = (denominator * (len(best_cells) - len(stack) - 1) - len(residual)) // 2
+        # size(residual) - 2(k+1) + 2a: weight + 1 + ceil(left / (2(k+1))) < best iff
+        # a <= (2(k+1) * (best - weight - 1) - size(residual)) // 2, iff h >= need.
+        need = denominator - (denominator * (len(best_cells) - len(stack) - 1) - size(residual)) // 2
         start = judged
         for cell in options[judged:]:
             judged += 1
-            if len((boundary := cell_boundary(cell)) - residual) <= allow:
+            if size((boundary := cell_boundary(cell)) & residual) >= need:
                 break
         else:
             cell = None
@@ -442,14 +456,15 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         else:
             residual ^= boundary
             stack.append((options, judged, low))
-            # the branch face leaves; faces above the last one of ``low`` stay out of it
-            first, last, low = low[0], low[-1], low[1:]
-            for face in boundary:
-                if face <= last and face != first:
-                    if face in residual:
-                        insort(low, face)
-                    else:
-                        low.remove(face)
+            if not faces:
+                # the branch face leaves; faces above the last one of ``low`` stay out of it
+                first, last, low = low[0], low[-1], low[1:]
+                for face in boundary:
+                    if face <= last and face != first:
+                        if face in residual:
+                            insort(low, face)
+                        else:
+                            low.remove(face)
             judged = 0
     nodes = min(nodes, node_budget + 1)
     best = Chain._of(n, z.k + 1, frozenset(best_cells))

@@ -33,7 +33,7 @@ from cubefill import (
     support_subcube,
 )
 from cubefill import filling
-from cubefill.faces import Face, _boundary, _coboundary, _free_at, _parse_word, _word
+from cubefill.faces import Face, _boundary, _coboundary, _degree_codes, _free_at, _parse_word, _word
 from cubefill.filling import (
     _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin,
     _recursive_fill_chain, _slice_counts,
@@ -417,6 +417,10 @@ class TestRecursiveFill:
             assert result.filling.boundary() == z
 
 
+def unreachable_ranking(n, k):
+    raise AssertionError(f"the {k}-faces of Q_{n} were ranked")
+
+
 class TestExactFill:
     def test_single_cell(self):
         z = Chain.from_words("***").boundary()
@@ -447,8 +451,10 @@ class TestExactFill:
             assert result.nodes_explored == 0
             assert result.lower_bound == 0
 
-    def test_proves_the_14_7_minimizer_at_the_root(self):
-        # the slicing bound meets the linear seed, C(14, 8) cells, before any node
+    def test_proves_the_14_7_minimizer_at_the_root(self, monkeypatch):
+        # the slicing bound meets the linear seed, C(14, 8) cells, before any node,
+        # and no search runs, so no face is ranked
+        monkeypatch.setattr(filling, "_degree_codes", unreachable_ranking)
         result = exact_fill(minimizer_cycle(14, 7))
         assert (result.optimal, result.nodes_explored, result.lower_bound) == (True, 0, 3003)
         assert result.filling.norm == minimizer_fill_value(14, 7) == 3003
@@ -518,8 +524,9 @@ class TestExactFill:
         assert peak < 16 * 2**20
 
     def test_deep_search_sorts_the_residual_rarely(self, monkeypatch):
-        # the branch face is the first of a short sorted prefix of the residual,
-        # kept up to date cell by cell: over 1,100 nodes the module sorts once
+        # Q_10 has 5,120 1-faces, above the rule, so the residual is a set and the
+        # branch face is the first of a short sorted prefix of it, kept up to
+        # date cell by cell: over 1,100 nodes the module sorts once
         # at the root and 17 times when the prefix ran empty (the cycle check
         # sorts only a boundary it refuses)
         calls = []
@@ -623,6 +630,7 @@ class TestExactSearchAgainstItsReference:
         result = exact_fill(z, node_budget)
         got = (result.filling.codes, result.nodes_explored, result.optimal, result.lower_bound)
         assert got == reference_exact_search(z, node_budget), (z, node_budget)
+        return result
 
     def test_exact_corpus(self):
         for z, budget in exact_corpus():
@@ -644,11 +652,13 @@ class TestExactSearchAgainstItsReference:
         for budget in range(1, 301):
             self.assert_same_search(z, budget)
 
-    # exact_fill branches on the first face of a sorted prefix of the residual,
-    # the reference on min(residual).  Each input below drives every upkeep of
-    # that prefix: a refill when it runs empty below the root, a face entering
-    # below its last one, a face leaving it, and faces above it left out.  The
-    # 1,100-level dive of random_cycle(10, 1, 0.08, seed=1) is in exact_corpus().
+    # On sets, exact_fill branches on the first face of a sorted prefix of the
+    # residual, the reference on min(residual).  Each input below drives every
+    # upkeep of that prefix when run on sets: a refill when it runs empty below
+    # the root, a face entering below its last one, a face leaving it, and faces
+    # above it left out.  The rule ranks all three, so they drive that upkeep in
+    # TestExactSearchOnSetsAgainstItsReference; the 1,100-level dive of
+    # random_cycle(10, 1, 0.08, seed=1) in exact_corpus() runs on sets under the rule.
 
     def test_degree_zero_cycle(self):
         # each cell is an edge: a vertex leaves the residual, its neighbour
@@ -659,6 +669,64 @@ class TestExactSearchAgainstItsReference:
         z = random_cycle(6, 2, 0.12, seed=2)
         for budget in range(1, 301):
             self.assert_same_search(z, budget)
+
+
+class TestExactSearchOnSetsAgainstItsReference(TestExactSearchAgainstItsReference):
+    """The same searches with every cube's residual a set of codes."""
+
+    @pytest.fixture(autouse=True)
+    def every_cube_on_sets(self, monkeypatch):
+        monkeypatch.setattr(filling, "_RANKED", 0)
+
+
+class TestExactSearchRankedAgainstItsReference(TestExactSearchAgainstItsReference):
+    """The same searches with every cube's residual one int over its ranked faces:
+    all of these inputs lie in cubes of n <= 10, under 2^16 faces."""
+
+    @pytest.fixture(autouse=True)
+    def every_cube_ranked(self, monkeypatch):
+        monkeypatch.setattr(filling, "_RANKED", 1 << 16)
+
+
+class TestResidualRule:
+    """Which encoding the exact search picks: ranked while Q_n has at most
+    ``filling._RANKED`` k-faces and a search runs, else sets."""
+
+    assert_same_search = staticmethod(TestExactSearchAgainstItsReference.assert_same_search)
+
+    def test_an_input_the_rule_sends_to_sets(self):
+        # Q_12 has 24,576 1-faces, far above the rule
+        self.assert_same_search(lift(random_cycle(6, 1, 0.25, 1), 12, 3), 2_000)
+
+    def test_the_rule_ranks_q10_vertices_and_not_q11_vertices(self, monkeypatch):
+        # 2^10 vertices sit at the rule and are ranked; 2^11 stay sets.  Both searches run.
+        ranked = []
+
+        def spy(n, k):
+            ranked.append((n, k))
+            return _degree_codes(n, k)
+
+        monkeypatch.setattr(filling, "_degree_codes", spy)
+        for z in (random_cycle(10, 0, 0.006, 2), random_cycle(11, 0, 0.003, 1)):
+            assert self.assert_same_search(z, 500).nodes_explored == 501
+        assert ranked == [(10, 0)]
+
+    def test_a_ranked_search_peaks_no_higher_than_on_sets(self, monkeypatch):
+        # at the rule's edge, 2^10 vertices: the ranking and the int boundaries it
+        # caches take less than the sets and sorted prefixes they replace
+        z = random_cycle(10, 0, 0.006, 2)
+        results, peaks = [], []
+        for rule in (filling._RANKED, 0):
+            monkeypatch.setattr(filling, "_RANKED", rule)
+            tracemalloc.start()
+            try:
+                results.append(exact_fill(z, 5_000))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[0] == results[1]
+        assert results[0].nodes_explored == 5_001
+        assert peaks[0] <= peaks[1]
 
 
 # a crossing budget that no input in these tests reaches
@@ -766,8 +834,10 @@ class TestLowerBound:
         assert result.nodes_explored == 0
         assert result.filling.norm == result.lower_bound == 1
 
-    def test_proves_the_7_2_minimizer_without_search(self):
-        # the trivial bound alone leaves this search out of budget at 200k nodes
+    def test_proves_the_7_2_minimizer_without_search(self, monkeypatch):
+        # the trivial bound alone leaves this search out of budget at 200k nodes;
+        # Q_7 has 672 2-faces, under the rule, but with no search none is ranked
+        monkeypatch.setattr(filling, "_degree_codes", unreachable_ranking)
         result = exact_fill(minimizer_cycle(7, 2), 1)
         assert result.optimal
         assert result.nodes_explored == 0
