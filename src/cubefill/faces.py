@@ -58,21 +58,15 @@ def _field(bits: int) -> tuple[int, str]:
     return width, "BHIQ"[width.bit_length() - 4]
 
 
-def _columns(values: Sequence[int], mask: int) -> Iterator[tuple[int, bytes]]:
-    """For ``_free_at``, per set bit of ``mask``, lowest first: the bit, a 0 or 1 per value < 2^64."""
-    # little-endian 64-bit words on any host: byte j of each holds its bits 8j to 8j+7
-    packed = struct.pack(f"<{len(values)}Q", *values)
-    for bit in _bits(mask):
-        at, shift = divmod(bit.bit_length() - 1, 8)
-        yield bit, packed[at::8].translate(_BIT_SET[shift])
-
-
 def _free_at(codes: Sequence[int], n: int) -> Iterator[tuple[int, Iterator[int]]]:
     """Per coordinate some code of Q_n leaves free, lowest first: its bit and those
     codes, picked only as they are read."""
     frees = list(map(n.__rrshift__, codes))
-    for bit, column in _columns(frees, reduce(or_, frees, 0)):
-        yield bit, itertools.compress(codes, column)
+    # little-endian 64-bit words on any host: byte j of each holds free bits 8j to 8j+7
+    packed = struct.pack(f"<{len(frees)}Q", *frees)
+    for bit in _bits(reduce(or_, frees, 0)):
+        at, shift = divmod(bit.bit_length() - 1, 8)
+        yield bit, itertools.compress(codes, packed[at::8].translate(_BIT_SET[shift]))
 
 
 def _boundary(code: int, n: int) -> frozenset[int]:

@@ -32,17 +32,13 @@ __all__ = [
 
 
 def _block_masks(n: int, stars: tuple[int, ...], leading: int) -> tuple[int, int]:
-    free = 0
-    for position in stars:
-        free |= 1 << position
-    fixed = 0
-    passed = 0
-    for position in range(n):
-        if free >> position & 1:
-            passed += 1
-        elif (leading ^ passed) & 1:
-            fixed |= 1 << position
-    return free, fixed
+    """The free mask and fixed bits of a member's face: a pinned coordinate holds
+    ``leading`` XOR the parity of the stars below it, a prefix XOR of ``free << 1``."""
+    free = sum(1 << position for position in stars)
+    parity = free << 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        parity ^= parity << shift
+    return free, (parity ^ -leading) & ~free & ((1 << n) - 1)
 
 
 def _minimizer_chain(n: int, k: int) -> Chain:

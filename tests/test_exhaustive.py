@@ -1,0 +1,49 @@
+"""Every cycle of the smallest cubes through all three engines, as an oracle.
+
+``cycles.survey`` checks each filling of each cycle (boundary, certificate,
+lower bound <= optimum <= both constructive fillings) and that no cycle's
+optimum / norm^((k+1)/k) exceeds the alternating-block member's, then sums
+the corpus.  The summed optimum and the largest optimum per norm are facts
+about the cube and are pinned exactly: the member's norm reaches the member's
+fill.  The engines' totals are pinned as bounds a better engine may beat.
+"""
+
+from functools import cache
+
+import pytest
+
+from cycles import survey
+
+CORPORA = [(4, 2), (5, 3), (6, 4)]
+# per corpus: cycles, summed optimum, largest optimum per norm
+OPTIMA = {
+    (4, 2): (127, 372, {6: 1, 10: 2, 12: 4, 14: 4, 16: 4}),
+    (5, 3): (511, 1930, {8: 1, 14: 2, 16: 2, 18: 3, 20: 5, 22: 5, 24: 5}),
+    (6, 4): (2047, 9516, {10: 1, 18: 2, 20: 2, 24: 3, 26: 3, 28: 4, 30: 6, 32: 6, 34: 6, 36: 6}),
+}
+# per corpus: most linear and recursive cells and exact-search nodes, fewest
+# cycles whose slicing lower bound is the optimum
+ENGINES = {
+    (4, 2): (372, 372, 109, 100),
+    (5, 3): (1930, 1930, 597, 401),
+    (6, 4): (9516, 9876, 3170, 1617),
+}
+
+surveyed = cache(survey)
+
+
+@pytest.mark.parametrize("n, k", CORPORA)
+def test_every_cycle_and_its_optimum(n, k):
+    found = surveyed(n, k)
+    assert (found.cycles, found.optimum, found.largest) == OPTIMA[n, k]
+
+
+@pytest.mark.parametrize("n, k", CORPORA)
+def test_engine_totals_within_their_bounds(n, k):
+    found = surveyed(n, k)
+    most_linear, most_recursive, most_nodes, fewest_tight = ENGINES[n, k]
+    assert found.optimum <= found.linear <= most_linear
+    assert found.optimum <= found.recursive <= most_recursive
+    assert found.nodes <= most_nodes
+    assert found.tight >= fewest_tight
+

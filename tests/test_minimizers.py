@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 from collections import Counter
 from math import comb
@@ -72,6 +73,29 @@ class TestConstruction:
                 assert a != b
                 members |= {a, b}
             assert members == set(minimizer_cycle(n, k).support)
+
+    def test_block_masks_are_the_prefix_parity_of_the_stars(self):
+        def by_coordinate(n, stars, leading):
+            # the rule spelt out: each star passed flips the value of the pinned coordinates above it
+            free = fixed = passed = 0
+            for position in stars:
+                free |= 1 << position
+            for position in range(n):
+                if free >> position & 1:
+                    passed += 1
+                elif (leading ^ passed) & 1:
+                    fixed |= 1 << position
+            return free, fixed
+
+        star_sets = [(n, stars) for n in range(13) for k in range(n + 1) for stars in combinations(range(n), k)]
+        # past 32 coordinates the prefix XOR needs its shift by 32
+        rng = random.Random(7)
+        for n in (33, 40, 64):
+            star_sets += [(n, (0,)), (n, (0, n - 1))]
+            star_sets += [(n, tuple(sorted(rng.sample(range(n), rng.randint(0, n))))) for _ in range(500)]
+        for n, stars in star_sets:
+            for leading in (0, 1):
+                assert _block_masks(n, stars, leading) == by_coordinate(n, stars, leading), (n, stars, leading)
 
     def test_top_degree_member_cancels(self):
         assert _minimizer_chain(3, 3).norm == 0
