@@ -24,7 +24,8 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
   filling meeting the paper's slicing lower bound, computed once at the root.
   It branches on the least residual face: in a cube of at most ``_RANKED``
   k-faces, the lowest bit of the residual kept as one int over the ranked
-  faces; in a larger one, the first of a short sorted prefix of its codes.
+  faces, with the ranks, cofaces and boundaries kept per (n, k) for the
+  process; in a larger one, the first of a short sorted prefix of its codes.
 
 All three engines work on the int codes a ``Chain`` keeps, ``free_mask
 << n | fixed_bits``, in the input's own Q_n: the input's codes go in, the
@@ -359,6 +360,15 @@ def _lower_bound(codes: Iterable[int], n: int, budget: int) -> int:
     return bound(list(codes), 0)
 
 
+@cache
+def _ranked(n: int, k: int) -> tuple[list[int], dict[int, int], dict[int, list[int]], dict[int, int]]:
+    """The exact search's tables for the k-faces of Q_n, kept for the process: the faces in
+    face order and each one's rank there, then, filled as searches ask, the cells on each
+    face and each judged cell's boundary as an int over the ranks."""
+    faces = list(_degree_codes(n, k))
+    return faces, {face: i for i, face in enumerate(faces)}, {}, {}
+
+
 def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     """Minimum-weight filling by branch and bound.
 
@@ -367,17 +377,19 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     face order, excluding cells already tried at this node so the branches
     partition the solution space.  A search that runs picks its residual
     once: in a cube of at most ``_RANKED`` k-faces, one int with bit i set for
-    the i-th k-face in face order, the least residual face its lowest bit;
-    else a set of codes, the least residual face the first of a sorted list of
-    its faces up to its last one, at most ``_LOW`` long: an applied cell
-    inserts or deletes the faces of its boundary at or below that last one in
-    a copy, the stack keeps each node's list for the undo, and the residual is
-    sorted again only when the list runs empty.  Each child counts as a node
-    and is judged from its parent by the residual faces its boundary hits,
-    ``size(boundary & residual)``: it is applied only if its weight plus
-    ceil(residual / (2(k+1))) can beat the best known filling (each cell
-    clears at most 2(k+1) residual faces).  The search
-    stops at the first filling, the linear seed included, that meets
+    the i-th k-face in face order, the least residual face its lowest bit,
+    with the cells on each face and each cell's boundary read from tables kept
+    for the process per (n, k) (``_ranked``); else a set of codes, with tables
+    of the same form kept for the call, the least residual face the first of a
+    sorted list of its faces up to its last one, at most ``_LOW`` long: an
+    applied cell inserts or deletes the faces of its boundary at or below that
+    last one in a copy, the stack keeps each node's list for the undo, and the
+    residual is sorted again only when the list runs empty.  Each child counts
+    as a node and is judged from its parent by the residual faces its boundary
+    hits, ``size(boundary & residual)``, one table lookup: it is applied only
+    if its weight plus ceil(residual / (2(k+1))) can beat the best known
+    filling (each cell clears at most 2(k+1) residual faces).  The search stops
+    at the first filling, the linear seed included, that meets
     ``lower_bound``: the slicing bound, computed once at the root (per node it
     costs more than it saves) unless the seed meets the trivial bound, and
     given at most ``node_budget`` plus ``z.norm`` memoised crossings.
@@ -401,15 +413,13 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
     if len(best_cells) > bound:
         bound = _lower_bound(z.codes, n, node_budget + z.norm)
 
-    cells_on = cache(partial(_coboundary, n=n))
-    faces: list[int] = []
     if len(best_cells) > bound and face_count(n, z.k) <= _RANKED:
-        faces = list(_degree_codes(n, z.k))
-        rank = {face: i for i, face in enumerate(faces)}
-        cell_boundary = cache(lambda cell: sum(1 << rank[face] for face in _boundary(cell, n)))
+        faces, rank, cells_on, boundaries = _ranked(n, z.k)
+        boundary_of = lambda cell: sum(1 << rank[face] for face in _boundary(cell, n))
         residual, size = sum(1 << rank[face] for face in z.codes), int.bit_count
     else:
-        cell_boundary, residual, size = cache(partial(_boundary, n=n)), set(z.codes), len
+        faces, cells_on, boundaries, boundary_of = [], {}, {}, partial(_boundary, n=n)
+        residual, size = set(z.codes), len
     excluded: set[int] = set()
     # Depth-first with an explicit stack, so the depth is not capped by the
     # interpreter, and one residual updated in place as cells are chosen and
@@ -427,7 +437,11 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
             if not (faces or low):
                 low = sorted(residual)[:_LOW]
             face = faces[(residual & -residual).bit_length() - 1] if faces else low[0]
-            options = [c for c in cells_on(face) if c not in excluded]
+            try:
+                cells = cells_on[face]
+            except KeyError:
+                cells = cells_on[face] = _coboundary(face, n)
+            options = [c for c in cells if c not in excluded]
         # A child's boundary clears h residual faces and adds a = 2(k+1) - h, leaving
         # size(residual) - 2(k+1) + 2a: weight + 1 + ceil(left / (2(k+1))) < best iff
         # a <= (2(k+1) * (best - weight - 1) - size(residual)) // 2, iff h >= need.
@@ -435,7 +449,11 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
         start = judged
         for cell in options[judged:]:
             judged += 1
-            if size((boundary := cell_boundary(cell)) & residual) >= need:
+            try:
+                boundary = boundaries[cell]
+            except KeyError:
+                boundary = boundaries[cell] = boundary_of(cell)
+            if size(boundary & residual) >= need:
                 break
         else:
             cell = None
@@ -448,7 +466,7 @@ def exact_fill(z: Chain, node_budget: int = DEFAULT_NODE_BUDGET) -> FillResult:
             if not stack:
                 break
             options, judged, low = stack.pop()
-            residual ^= cell_boundary(options[judged - 1])
+            residual ^= boundaries[options[judged - 1]]
             continue
         excluded.update(options[start:judged])
         if residual == boundary:

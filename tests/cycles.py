@@ -5,9 +5,10 @@ The cube is acyclic, so its k-cycles are the Z2 span of the boundaries of its
 boundaries, each one int over the ranked k-faces, leaves a basis of d cycles,
 and a Gray-code walk visits all 2^d - 1 nonzero cycles with one XOR each.
 
-Run as ``python tests/cycles.py N K`` to check every k-cycle of Q_N and print
-the survey's totals as one JSON line; ``tests/test_exhaustive.py`` pins them
-for the smallest corpora.
+Run as ``python tests/cycles.py N K [STRIDE]`` to check every k-cycle of Q_N,
+or every STRIDE-th of the walk, and print the survey's totals as one JSON
+line; ``tests/test_exhaustive.py`` pins them for the smallest corpora and for
+every 64th 1-cycle of Q_4.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from cubefill.faces import _bits, _boundary, _degree_codes
 Survey = namedtuple("Survey", "cycles optimum linear recursive nodes tight largest")
 
 
-def cycles(n: int, k: int) -> Iterator[Chain]:
-    """Every nonzero k-cycle of Q_n, once each, in Gray-code order over the basis."""
+def cycles(n: int, k: int, stride: int = 1) -> Iterator[Chain]:
+    """Every stride-th nonzero k-cycle of Q_n, the first included, in Gray-code order
+    over the basis: at stride 1 every cycle, once each."""
     faces = list(_degree_codes(n, k))
     rank = {face: i for i, face in enumerate(faces)}
     basis: dict[int, int] = {}  # reduced boundaries by their highest bit
@@ -39,11 +41,12 @@ def cycles(n: int, k: int) -> Iterator[Chain]:
     vectors, z = list(basis.values()), 0
     for step in range(1, 1 << len(vectors)):
         z ^= vectors[(step & -step).bit_length() - 1]
-        yield Chain._of(n, k, frozenset(faces[bit.bit_length() - 1] for bit in _bits(z)))
+        if (step - 1) % stride == 0:
+            yield Chain._of(n, k, frozenset(faces[bit.bit_length() - 1] for bit in _bits(z)))
 
 
-def survey(n: int, k: int) -> Survey:
-    """Fill every k-cycle of Q_n, 1 <= k < n, with each engine and check each filling.
+def survey(n: int, k: int, stride: int = 1) -> Survey:
+    """Fill every stride-th k-cycle of Q_n, 1 <= k < n, with each engine and check each filling.
 
     Each filling's boundary is the cycle and its norm is within its certificate;
     the exact search completes at the default budget, its lower bound <= the
@@ -53,7 +56,7 @@ def survey(n: int, k: int) -> Survey:
     member_fill, member_norm = minimizer_fill_value(n, k), minimizer_norm(n, k)
     count = optimum = linear = recursive = nodes = tight = 0
     largest: dict[int, int] = {}
-    for z in cycles(n, k):
+    for z in cycles(n, k, stride):
         results = linear_fill(z), recursive_fill(z), exact_fill(z)
         for result in results:
             assert result.filling.boundary() == z, f"{result.strategy} does not fill {sorted(z.codes)}"
@@ -75,4 +78,4 @@ def survey(n: int, k: int) -> Survey:
 
 
 if __name__ == "__main__":
-    print(json.dumps(survey(*map(int, sys.argv[1:3]))._asdict()))
+    print(json.dumps(survey(*map(int, sys.argv[1:4]))._asdict()))

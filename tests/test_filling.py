@@ -453,8 +453,9 @@ class TestExactFill:
 
     def test_proves_the_14_7_minimizer_at_the_root(self, monkeypatch):
         # the slicing bound meets the linear seed, C(14, 8) cells, before any node,
-        # and no search runs, so no face is ranked
+        # and no search runs, so no face is ranked and no table read, warm or cold
         monkeypatch.setattr(filling, "_degree_codes", unreachable_ranking)
+        monkeypatch.setattr(filling, "_ranked", unreachable_ranking)
         result = exact_fill(minimizer_cycle(14, 7))
         assert (result.optimal, result.nodes_explored, result.lower_bound) == (True, 0, 3003)
         assert result.filling.norm == minimizer_fill_value(14, 7) == 3003
@@ -699,7 +700,9 @@ class TestResidualRule:
         self.assert_same_search(lift(random_cycle(6, 1, 0.25, 1), 12, 3), 2_000)
 
     def test_the_rule_ranks_q10_vertices_and_not_q11_vertices(self, monkeypatch):
-        # 2^10 vertices sit at the rule and are ranked; 2^11 stay sets.  Both searches run.
+        # 2^10 vertices sit at the rule and are ranked; 2^11 stay sets.  Both searches run,
+        # on tables cleared first, so an earlier (10, 0) search cannot hide the ranking.
+        filling._ranked.cache_clear()
         ranked = []
 
         def spy(n, k):
@@ -727,6 +730,29 @@ class TestResidualRule:
         assert results[0] == results[1]
         assert results[0].nodes_explored == 5_001
         assert peaks[0] <= peaks[1]
+
+
+class TestRankedTablesPerShape:
+    """A ranked search reads the tables of its cube shape (n, k), built once for the
+    process by ``filling._ranked`` and filled as searches ask."""
+
+    assert_same_search = staticmethod(TestExactSearchAgainstItsReference.assert_same_search)
+
+    def test_a_second_search_of_a_shape_ranks_no_face(self, monkeypatch):
+        self.assert_same_search(random_cycle(6, 1, 0.25, 1), 500)
+        monkeypatch.setattr(filling, "_degree_codes", unreachable_ranking)
+        assert self.assert_same_search(random_cycle(6, 1, 0.25, 2), 500).nodes_explored == 501
+
+    @pytest.mark.parametrize("rule", [filling._RANKED, 0])
+    def test_searches_of_mixed_shapes_on_warm_tables(self, monkeypatch, rule):
+        # each shape comes back after another's search has filled its own tables
+        monkeypatch.setattr(filling, "_RANKED", rule)
+        for z, budget in (
+            (random_cycle(6, 1, 0.25, 1), 500), (random_cycle(5, 1, 0.12, 3), 2_000),
+            (random_cycle(6, 2, 0.12, 2), 300), (random_cycle(6, 1, 0.25, 2), 500),
+            (random_cycle(5, 1, 0.3, 1), 2_000),
+        ):
+            assert self.assert_same_search(z, budget).nodes_explored > 0
 
 
 # a crossing budget that no input in these tests reaches
@@ -837,7 +863,9 @@ class TestLowerBound:
     def test_proves_the_7_2_minimizer_without_search(self, monkeypatch):
         # the trivial bound alone leaves this search out of budget at 200k nodes;
         # Q_7 has 672 2-faces, under the rule, but with no search none is ranked
+        # and no table is read, warm or cold
         monkeypatch.setattr(filling, "_degree_codes", unreachable_ranking)
+        monkeypatch.setattr(filling, "_ranked", unreachable_ranking)
         result = exact_fill(minimizer_cycle(7, 2), 1)
         assert result.optimal
         assert result.nodes_explored == 0
