@@ -1,11 +1,11 @@
 """Command line for generating, filling, checking and tabulating cycles.
 
-Reports are plain text by default; ``--json`` switches to a stable
-machine-readable form with the fields command, inputs, results, status.
-Each command returns its status and its results; ``main`` alone takes the
-inputs off the parsed arguments, reads the chain file of ``fill`` and
-``verify``, emits the report and reads the exit code off the status in one
-table: 0 ok, 2 invalid input, 3 bound violation or engine error, 4 I/O.
+Reports are text, or JSON (command, inputs, results, status) with ``--json``.
+Each command returns its status and results; ``main`` alone reads the chain
+file, turns any ``ValueError`` raised reading it or running the command into
+exit 2, emits the report and reads the exit code off the status: 0 ok, 2
+invalid input, 3 bound violation or engine error, 4 I/O.  ``fill`` alone
+lists a non-cycle's boundary and maps any other engine exception to exit 3.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .chainfile import ChainFormatError, read_chain, write_chain
+from .chainfile import read_chain, write_chain
 from .chains import Chain, random_cycle
 from .constants import BOUND_REL_TOL, c_constant, leq_with_tolerance
 from .faces import MAX_COORDINATES, _word, face_count
@@ -125,7 +125,7 @@ def _cmd_fill(args: argparse.Namespace, z: Chain) -> tuple[str, dict]:
             result = exact_fill(z, args.budget)
     except FillRefused as exc:
         if exc.boundary is None:
-            return _invalid(str(exc))
+            raise
         return _invalid("input chain is not a cycle", n=z.n, k=z.k, input_norm=z.norm,
                         **_listed_boundary(exc.boundary))
     except Exception as exc:
@@ -165,10 +165,7 @@ def _cmd_verify(args: argparse.Namespace, z: Chain) -> tuple[str, dict]:
 def _cmd_sharpness(args: argparse.Namespace) -> tuple[str, dict] | None:
     if not 1 <= args.k < args.n_max <= args.k + _MAX_SHARPNESS_ROWS:
         return _invalid(f"need k >= 1 and k < n_max <= k + {_MAX_SHARPNESS_ROWS}")
-    try:
-        rows = sharpness_table(args.k, range(args.k + 1, args.n_max + 1))
-    except ValueError as exc:
-        return _invalid(str(exc))
+    rows = sharpness_table(args.k, range(args.k + 1, args.n_max + 1))
     if args.csv:
         print(CSV_HEADER)
         for row in rows:
@@ -186,12 +183,9 @@ def _cmd_sharpness(args: argparse.Namespace) -> tuple[str, dict] | None:
 
 
 def _cmd_random(args: argparse.Namespace) -> tuple[str, dict]:
-    try:
-        if args.n > MAX_COORDINATES or face_count(args.n, args.k + 1) > _MAX_RANDOM_CELLS:
-            raise ValueError(f"need n <= {MAX_COORDINATES} and at most 2**20 cells of dimension k+1")
-        z = random_cycle(args.n, args.k, args.density, args.seed)
-    except ValueError as exc:
-        return _invalid(str(exc))
+    if args.n > MAX_COORDINATES or face_count(args.n, args.k + 1) > _MAX_RANDOM_CELLS:
+        return _invalid(f"need n <= {MAX_COORDINATES} and at most 2**20 cells of dimension k+1")
+    z = random_cycle(args.n, args.k, args.density, args.seed)
     write_chain(z, args.out)
     # random_cycle returns a boundary, and every boundary is a cycle
     return "ok", {"norm": z.norm, "cycle": True}
@@ -253,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             chains = [read_chain(args.path)] if "path" in inputs else []
             outcome = args.func(args, *chains)
-        except ChainFormatError as exc:
+        except ValueError as exc:  # ChainFormatError, FillRefused, a library argument check
             outcome = _invalid(str(exc))
         if outcome is None:  # sharpness printed its table
             return EXIT_OK

@@ -18,14 +18,8 @@ Three engines produce a (k+1)-chain whose boundary is a given k-cycle:
   and if every slice crosses a lot the cycle is big enough that the
   linear bound already fits under the power bound (case 3).
 
-* ``exact_fill`` is a branch-and-bound search from the linear filling: it
-  judges each child from its parent by its boundary's hits on the residual,
-  applies only those that can beat the best filling, and stops at the first
-  filling meeting the paper's slicing lower bound, computed once at the root.
-  It branches on the least residual face: in a cube of at most ``_RANKED``
-  k-faces, the lowest bit of the residual kept as one int over the ranked
-  faces, with the ranks, cofaces and boundaries kept per (n, k) for the
-  process; in a larger one, the first of a short sorted prefix of its codes.
+* ``exact_fill`` is a branch-and-bound search from the linear filling
+  that stops at the first filling meeting the paper's slicing lower bound.
 
 All three engines work on the int codes a ``Chain`` keeps, ``free_mask
 << n | fixed_bits``, in the input's own Q_n: the input's codes go in, the

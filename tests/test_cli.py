@@ -414,13 +414,18 @@ class TestSharpness:
         assert lines[1].split()[0] == "2" and lines[-1].split()[0] == "65537"
 
     @pytest.mark.parametrize(
-        "args", [["171", "--n-max", "172"], ["150", "--n-max", "8000"]], ids=["k171", "n8000"]
+        "args, message",
+        [
+            (["171", "--n-max", "172"], "degree 171 too large: 171! does not fit in a float"),
+            (["150", "--n-max", "8000"], "n=6257 too large: its norm and fill do not fit in a float"),
+        ],
+        ids=["k171", "n8000"],
     )
-    def test_values_beyond_a_float_are_invalid(self, capsys, args):
+    def test_values_beyond_a_float_are_invalid(self, capsys, args, message):
         code, report = run_json(capsys, ["sharpness", *args, "--json"])
         assert code == EXIT_INVALID
         assert report["status"] == "invalid-input"
-        assert "fit in a float" in report["results"]["error"]
+        assert report["results"]["error"] == message
 
 
 class TestRandom:
@@ -497,12 +502,25 @@ class TestRandom:
         )
         assert code == EXIT_IO
 
-    @pytest.mark.parametrize("n", ["40", "65"])
-    def test_too_many_cells_is_invalid(self, tmp_path, capsys, n):
+    # the CLI's own cap, then the refusals of face_count and random_cycle
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["40", "1"], "need n <= 64 and at most 2**20 cells of dimension k+1"),
+            (["65", "1"], "need n <= 64 and at most 2**20 cells of dimension k+1"),
+            (["5", "-3"], "degree -2 outside [0, 5]"),
+            (["3", "5"], "degree 6 outside [0, 3]"),
+            (["5", "-1"], "need 1 <= k+1 <= n, got k=-1, n=5"),
+            (["5", "1", "--density", "2"], "density 2.0 outside [0, 1]"),
+        ],
+        ids=["40", "65", "k-3", "k5-n3", "k-1", "density2"],
+    )
+    def test_too_many_cells_is_invalid(self, tmp_path, capsys, args, message):
         path = tmp_path / "x.chain"
-        code, report = run_json(capsys, ["random", n, "1", "--out", str(path), "--json"])
+        code, report = run_json(capsys, ["random", *args, "--out", str(path), "--json"])
         assert code == EXIT_INVALID
         assert report["status"] == "invalid-input"
+        assert report["results"]["error"] == message
         assert not path.exists()
 
 
