@@ -6,8 +6,8 @@ duplicate face is an error because the listing is an exact Z2 support.
 All the words of a file are parsed together by ``Chain.from_words``, in
 bulk into the int codes a ``Chain`` keeps; only when a line is malformed
 are the lines checked one by one, to report the first bad one.  Codes
-are written back sorted: within one degree their integer order is face
-order.
+are written back sorted, in bulk by ``faces._words``: within one degree
+their integer order is face order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 
 from .chains import Chain
-from .faces import MAX_COORDINATES, _parse_word, _word
+from .faces import MAX_COORDINATES, _parse_word, _words
 
 __all__ = ["ChainFormatError", "parse_chain_text", "format_chain_text", "read_chain", "write_chain"]
 
@@ -47,8 +47,8 @@ def parse_chain_text(text: str) -> Chain:
         raise ChainFormatError(f"degree {k} outside [0, {n}]", lineno)
     try:
         return Chain.from_words(*(word for _, word in lines), n=n, k=k)
-    except ValueError:
-        pass  # some line is malformed: check line by line to report the first
+    except ValueError as exc:
+        refusal = exc  # some line is malformed: check line by line to report the first
     seen: dict[int, int] = {}
     for lineno, word in lines:
         try:
@@ -65,7 +65,8 @@ def parse_chain_text(text: str) -> Chain:
                 f"duplicate face {word!r} (first seen on line {seen[code]})", lineno
             )
         seen[code] = lineno
-    return Chain._of(n, k, frozenset(seen))
+    # no line is malformed on its own: the refusal stands, without a line
+    raise ChainFormatError(str(refusal)) from None
 
 
 def format_chain_text(chain: Chain) -> str:
@@ -75,7 +76,7 @@ def format_chain_text(chain: Chain) -> str:
     # (the filling of an empty top-degree cycle); clamp it into file range
     degree = min(chain.k, chain.n) if not chain.codes else chain.k
     lines = [f"cube {chain.n} {degree}"]
-    lines.extend(_word(code, chain.n) for code in sorted(chain.codes))
+    lines.extend(_words(sorted(chain.codes), chain.n))
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ order.  ``Face`` is the public view of one code.  Coordinates are 1-based
 in words and messages, 0-based inside the masks.  A list of words of one
 length is parsed in bulk, a run of words at a time: padded to fields of 8,
 16, 32 or 64 digits and read as two binary numerals, one of the free masks
-and one of the fixed bits.
+and one of the fixed bits; a list of codes is written back the same way.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ MAX_COORDINATES = 64
 _FREE_DIGITS = str.maketrans("01*", "001")
 _FIXED_DIGITS = str.maketrans("*", "0")
 _WORD_SYMBOLS = str.maketrans("", "", "01*")
+# a digit of fixed + 2 * free, written back: a free coordinate is a star
+_STAR_DIGIT = bytes.maketrans(b"2", b"*")
 # Words per bulk parse: a long list goes a run at a time, so only one run's
 # digit strings and unpacked fields are held beside the codes
 _RUN = 4096
@@ -154,6 +156,28 @@ def _parse_words(words: Sequence[str]) -> list[int]:
             return codes
     # an empty, overlong or mixed list, or a bad symbol: word by word, first error raised
     return list(map(_parse_word, words))
+
+
+def _words(codes: Sequence[int], n: int) -> list[str]:
+    """Inverse of _parse_words: per run of ``_RUN`` codes, the fixed bits and the free masks
+    packed one field per code and written as binary digits, merged digit by digit as
+    fixed + 2 * free (2 a star), reversed and cut into words."""
+    width, field = _field(n)
+    words: list[str] = []
+    for start in range(0, len(codes), _RUN):
+        run = codes[start:start + _RUN]
+        fields = struct.Struct(f"<{len(run)}{field}")
+        size = 8 * fields.size
+        # each numeral's digits as ASCII bytes, read as one int with a byte per digit
+        fixed, free = (
+            int.from_bytes(format(int.from_bytes(fields.pack(*values), "little"), f"0{size}b").encode(), "big")
+            for values in (map(((1 << n) - 1).__and__, run), map(n.__rrshift__, run))
+        )
+        # per byte "0" or "1" plus twice the free digit: never a carry, as no bit is both
+        merged = (fixed + 2 * free - 2 * int.from_bytes(b"0" * size, "big")).to_bytes(size, "big")
+        digits = merged.translate(_STAR_DIGIT).decode()[::-1]
+        words += map(digits.__getitem__, map(slice, range(0, size, width), range(n, size + n, width)))
+    return words
 
 
 def _word(code: int, n: int) -> str:

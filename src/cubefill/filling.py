@@ -36,7 +36,8 @@ coordinates something crosses or where faces sit on both sides.  The
 linear engine counts only those and the lowest other live coordinate,
 standing for all that do not vary.  A side of a cut, one state there,
 moves across by one XOR; fillings are summed into one set.  Components
-and the slicing lower bound read free faces off ``faces._free_at``.
+link faces through facets built by maps over all faces; the slicing lower
+bound reads free faces off ``faces._free_at``.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -51,7 +52,8 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, partial, reduce
-from operator import or_
+from itertools import repeat
+from operator import and_, lshift, neg, or_, rshift, xor
 
 from .chains import Chain
 from .constants import c_constant, constants_for
@@ -224,22 +226,38 @@ def linear_fill(z: Chain) -> FillResult:
 
 
 def _components(z: frozenset[int], n: int) -> list[frozenset[int]]:
-    """Faces linked by shared facets, merged by size, in order of least face."""
+    """Faces linked by shared facets, in order of least face: numbered in face order, each
+    face is linked both ways to the first face seen with each of its facets, built by maps one
+    free-coordinate rank at a time, and the links are walked from each unvisited face."""
     codes = sorted(z)
-    group = {code: [code] for code in codes}
-    owner: dict[int, int] = {}  # facet -> the first face seen with it
-    for bit, free in _free_at(codes, n):
-        free = list(free)
-        for put in (bit << n, bit << n | bit):
-            for code, first in zip(free, map(owner.setdefault, map(put.__xor__, free), free)):
-                small, large = group[code], group[first]
-                if small is not large:
-                    if len(small) > len(large):
-                        small, large = large, small
-                    large += small
-                    group.update(dict.fromkeys(small, large))
-    # one entry per group, at its least face
-    return [frozenset(block) for block in {id(block): block for block in group.values()}.values()]
+    k = (codes[0] >> n).bit_count() if codes else 0
+    if not k:
+        return [frozenset((code,)) for code in codes]  # a vertex has no facets
+    faces = range(len(codes))
+    links: list[list[int]] = [[] for _ in faces]
+    owner: dict[int, int] = {}  # facet -> the number of the first face seen with it
+    frees = list(map(rshift, codes, repeat(n)))
+    for _ in range(k):
+        lows = list(map(and_, frees, map(neg, frees)))
+        zero = list(map(xor, codes, map(lshift, lows, repeat(n))))
+        frees = list(map(xor, frees, lows))
+        for facets in (zero, map(or_, zero, lows)):
+            for face, first, own in zip(faces, map(owner.setdefault, facets, faces), links):
+                if face != first:
+                    own.append(first)
+                    links[first].append(face)
+    seen, blocks = bytearray(len(codes)), []
+    for start in faces:
+        if seen[start]:
+            continue
+        seen[start], block = 1, [start]
+        for face in block:  # grows as the walk reaches new faces
+            for other in links[face]:
+                if not seen[other]:
+                    seen[other] = 1
+                    block.append(other)
+        blocks.append(frozenset(map(codes.__getitem__, block)))
+    return blocks
 
 
 def connected_components(z: Chain) -> list[Chain]:

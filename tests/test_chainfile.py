@@ -145,3 +145,15 @@ def test_a_long_file_reports_its_one_bad_line():
         parse_chain_text("\n".join(lines))
     assert info.value.line == len(lines) - 4
     assert str(info.value).endswith("face has dimension 1, header says 2")
+
+
+def test_a_refusal_no_line_explains_is_still_a_format_error(monkeypatch):
+    # every line checks out on its own, so the bulk refusal is raised as it is, with no line
+    def refuse(cls, *words, n=None, k=None):
+        raise ValueError("refused in bulk")
+
+    monkeypatch.setattr(Chain, "from_words", classmethod(refuse))
+    with pytest.raises(ChainFormatError) as info:
+        parse_chain_text(format_chain_text(minimizer_cycle(3, 1)))
+    assert info.value.line is None
+    assert str(info.value) == "refused in bulk"

@@ -19,7 +19,7 @@ from cubefill import (
 )
 from cubefill import chains as chains_module
 from cubefill import faces as faces_module
-from cubefill.faces import _RUN, _parse_word, _parse_words
+from cubefill.faces import _RUN, _parse_word, _parse_words, _word, _words
 
 
 @st.composite
@@ -281,3 +281,29 @@ class TestBulkParse:
                 _parse_words(words)
         else:
             assert _parse_words(words) == expected
+
+
+class TestBulkWrite:
+    """``_words`` writes a list of codes as two binary numerals merged digit
+    by digit; it must give what ``_word`` gives code by code."""
+
+    @staticmethod
+    def codes(n, size, seed):
+        rng = random.Random(f"write {n}:{size}:{seed}")
+        codes = []
+        for _ in range(size):
+            free = rng.getrandbits(n)
+            codes.append(free << n | rng.getrandbits(n) & ~free)
+        return codes
+
+    # both sides of each field boundary: 8, 16, 32 and 64 digits
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 63, 64])
+    def test_matches_the_code_by_code_write(self, n):
+        full = (1 << n) - 1
+        # free bits at the field's edges and at the top coordinate, and their fixed mirrors
+        edges = [full << n, full, 1 << n, 1 << (2 * n - 1), 1 << (n - 1), 0,
+                 (1 << (n - 1) | 1) << n | full >> 1 & ~1]
+        for size in (0, 1, 2, 1000, 2 * _RUN + 5):
+            codes = edges + self.codes(n, size, 0)
+            assert _words(codes, n) == [_word(code, n) for code in codes]
+            assert _parse_words(_words(codes, n)) == codes

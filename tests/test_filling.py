@@ -979,9 +979,14 @@ class TestComponents:
             classes.append(frozenset(member.code for member in block))
         return classes
 
-    def test_union_by_size_matches_a_search(self):
+    def test_the_partition_matches_a_search(self):
         rng = random.Random(12)
-        chains = [Chain(5, 2), dumbbell(), random_cycle(6, 1, 0.03, 4)]
+        # two squares meeting at the vertex 00000 only, which has degree 4
+        squares = Chain.from_words("**000").boundary() + Chain.from_words("00**0").boundary()
+        assert len(_components(squares.codes, squares.n)) == 1
+        many = random_cycle(12, 1, 0.01, 1)
+        assert len(_components(many.codes, many.n)) == 98
+        chains = [Chain(5, 2), dumbbell(), random_cycle(6, 1, 0.03, 4), squares, many]
         for n in (3, 9, 33, 64):
             for k in range(4):
                 small = min(n, 5)
@@ -989,6 +994,11 @@ class TestComponents:
                 for density in (0.1, 0.3):
                     picked = frozenset(face for face in pool if rng.random() < density)
                     chains.append(lift(Chain(small, k, picked), n, rng.randrange(100)))
+        # degree 4: four ranks of facets, lifted from Q_6
+        for n in (9, 33, 64):
+            for density in (0.1, 0.3):
+                picked = frozenset(face for face in enumerate_faces(6, 4) if rng.random() < density)
+                chains.append(lift(Chain(6, 4, picked), n, rng.randrange(100)))
         # in the dumbbell the tube's edges meet the sides' 2-cycles, so some
         # facets are shared by three or more faces
         shared = {}
