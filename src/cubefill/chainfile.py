@@ -41,8 +41,8 @@ def parse_chain_text(text: str) -> Chain:
         n, k = int(parts[1]), int(parts[2])
     except ValueError:
         raise ChainFormatError("header dimensions must be integers", lineno) from None
-    if n > MAX_COORDINATES:
-        raise ChainFormatError(f"dimension {n} above {MAX_COORDINATES}", lineno)
+    if not 0 <= n <= MAX_COORDINATES:
+        raise ChainFormatError(f"dimension {n} outside [0, {MAX_COORDINATES}]", lineno)
     if not 0 <= k <= n:
         raise ChainFormatError(f"degree {k} outside [0, {n}]", lineno)
     try:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .chainfile import read_chain, write_chain
 from .chains import Chain, random_cycle
 from .constants import BOUND_REL_TOL, c_constant, leq_with_tolerance
-from .faces import MAX_COORDINATES, _word, face_count
+from .faces import MAX_COORDINATES, _words, face_count
 from .filling import (
     DEFAULT_NODE_BUDGET,
     FillRefused,
@@ -67,7 +67,7 @@ def _listed_boundary(boundary: Chain) -> dict:
     listed = sorted(boundary.codes)[:_MAX_LISTED_FACES]
     return {
         "boundary_norm": boundary.norm,
-        "boundary_faces": [_word(code, boundary.n) for code in listed],
+        "boundary_faces": _words(listed, boundary.n),
     }
 
 

@@ -8,7 +8,8 @@ order.  ``Face`` is the public view of one code.  Coordinates are 1-based
 in words and messages, 0-based inside the masks.  A list of words of one
 length is parsed in bulk, a run of words at a time: padded to fields of 8,
 16, 32 or 64 digits and read as two binary numerals, one of the free masks
-and one of the fixed bits; a list of codes is written back the same way.
+and one of the fixed bits.  A list of codes is written back the same way,
+by ``_words``, which writes every word: one face's or a whole file's.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ def _parse_words(words: Sequence[str]) -> list[int]:
 
 
 def _words(codes: Sequence[int], n: int) -> list[str]:
-    """Inverse of _parse_words: per run of ``_RUN`` codes, the fixed bits and the free masks
-    packed one field per code and written as binary digits, merged digit by digit as
-    fixed + 2 * free (2 a star), reversed and cut into words."""
+    """Inverse of _parse_words, and the writer of every word, one face's or a whole file's:
+    per run of ``_RUN`` codes, the fixed bits and the free masks packed one field per code
+    and written as binary digits, merged digit by digit as fixed + 2 * free (2 a star),
+    reversed and cut into words."""
     width, field = _field(n)
     words: list[str] = []
     for start in range(0, len(codes), _RUN):
@@ -178,15 +180,6 @@ def _words(codes: Sequence[int], n: int) -> list[str]:
         digits = merged.translate(_STAR_DIGIT).decode()[::-1]
         words += map(digits.__getitem__, map(slice, range(0, size, width), range(n, size + n, width)))
     return words
-
-
-def _word(code: int, n: int) -> str:
-    """Inverse of _parse_word."""
-    # the digits of fixed_bits, coordinate 1 first, then a star on each free one
-    word = list(bin(code & ((1 << n) - 1) | 1 << n)[:2:-1])
-    for bit in _bits(code >> n):
-        word[bit.bit_length() - 1] = "*"
-    return "".join(word)
 
 
 def _delete(code: int, n: int, pos: int) -> int:
@@ -283,7 +276,7 @@ def parse_face(word: str) -> Face:
 
 def render_face(face: Face) -> str:
     """Inverse of parse_face."""
-    return _word(face.code, face.n)
+    return _words([face.code], face.n)[0]
 
 
 def face_count(n: int, k: int) -> int:

@@ -29,15 +29,12 @@ A subproblem of the linear and recursive engines is a cycle inside the
 cell of its live coordinates: a facet or a support subcube of Q_n is
 itself a cell of Q_n, so a cut pins one live coordinate in place instead
 of renumbering into a smaller cube.  Each level chooses its cut from
-per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing,
-each a popcount of one byte of every packed code, read as a numeral.
+per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing.
 They give the support cell, here and in ``support_subcube``: the
 coordinates something crosses or where faces sit on both sides.  The
 linear engine counts only those and the lowest other live coordinate,
 standing for all that do not vary.  A side of a cut, one state there,
-moves across by one XOR; fillings are summed into one set.  Components
-link faces through facets built by maps over all faces; the slicing lower
-bound reads free faces off ``faces._free_at``.
+moves across by one XOR; fillings are summed into one set.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -57,7 +54,7 @@ from operator import and_, lshift, neg, or_, rshift, xor
 
 from .chains import Chain
 from .constants import c_constant, constants_for
-from .faces import Face, _bits, _boundary, _coboundary, _face, _field, _free_at, _split, _word
+from .faces import Face, _bits, _boundary, _coboundary, _face, _field, _free_at, _split, _words
 from .faces import _degree_codes, face_count
 
 __all__ = [
@@ -108,7 +105,7 @@ class FillRefused(ValueError):
 
 def _require_cycle(z: Chain) -> None:
     if (boundary := z.boundary()).codes:
-        sample = ", ".join(_word(code, z.n) for code in sorted(boundary.codes)[:6])
+        sample = ", ".join(_words(sorted(boundary.codes)[:6], z.n))
         raise FillRefused(f"chain is not a cycle: boundary has {boundary.norm} faces ({sample})", boundary)
 
 

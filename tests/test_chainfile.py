@@ -93,6 +93,13 @@ def test_header_above_max_coordinates_reports_line():
     assert "100" in str(info.value)
 
 
+@pytest.mark.parametrize("n", [-1, 100])
+def test_header_dimension_outside_the_cube_reports_line(n):
+    with pytest.raises(ChainFormatError, match=rf"^line 2: dimension {n} outside \[0, 64\]$") as info:
+        parse_chain_text(f"# out of range\ncube {n} 0\n")
+    assert info.value.line == 2
+
+
 def test_undecodable_file_reports_line(tmp_path):
     path = tmp_path / "binary.chain"
     path.write_bytes(b"cube 2 1\n*0\n\xff\xfe\n")

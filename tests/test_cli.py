@@ -221,6 +221,16 @@ def test_header_above_max_coordinates_is_invalid(tmp_path, capsys, command):
     assert "line 1" in report["results"]["error"]
 
 
+@pytest.mark.parametrize("command", ["fill", "verify"])
+def test_negative_header_dimension_is_invalid(tmp_path, capsys, command):
+    path = tmp_path / "neg.chain"
+    path.write_text("cube -1 0\n")
+    code, report = run_json(capsys, [command, str(path), "--json"])
+    assert code == EXIT_INVALID
+    assert report["status"] == "invalid-input"
+    assert report["results"]["error"] == "line 1: dimension -1 outside [0, 64]"
+
+
 # The first 20 of the 28 boundary faces, in face order.
 NON_CYCLE_BOUNDARY = [
     "*1000001", "*0001001", "*1011001", "*1011101", "0*000001", "1*000001", "0*100001",

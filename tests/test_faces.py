@@ -19,7 +19,7 @@ from cubefill import (
 )
 from cubefill import chains as chains_module
 from cubefill import faces as faces_module
-from cubefill.faces import _RUN, _parse_word, _parse_words, _word, _words
+from cubefill.faces import _RUN, _parse_word, _parse_words, _words
 
 
 @st.composite
@@ -59,6 +59,13 @@ class TestParseRender:
         assert render_face(Face(2, 0b11, 0)) == "**"
         assert render_face(Face(3, 0b001, 0)) == "*00"
         assert str(parse_face("0*1")) == "0*1"
+        assert (str(Face(0, 0, 0)), repr(Face(0, 0, 0))) == ("", "Face('')")
+        assert (str(Face(1, 1, 0)), repr(Face(1, 0, 1))) == ("*", "Face('1')")
+        # free and pinned bits at both ends of the 8-, 16-, 32- and 64-bit fields
+        for n in (8, 9, 32, 33, 64):
+            top = 1 << (n - 1)
+            assert str(Face(n, top | 1, 0b10)) == "*1" + "0" * (n - 3) + "*"
+            assert repr(Face(n, 0b10, top | 1)) == "Face('1*" + "0" * (n - 3) + "1')"
 
     @given(faces())
     def test_round_trip(self, face):
@@ -285,7 +292,7 @@ class TestBulkParse:
 
 class TestBulkWrite:
     """``_words`` writes a list of codes as two binary numerals merged digit
-    by digit; it must give what ``_word`` gives code by code."""
+    by digit; ``_parse_word``, the per-word reader, must read each word back."""
 
     @staticmethod
     def codes(n, size, seed):
@@ -296,6 +303,11 @@ class TestBulkWrite:
             codes.append(free << n | rng.getrandbits(n) & ~free)
         return codes
 
+    def test_literal_words(self):
+        assert _words([0], 0) == [""]
+        assert _words([0b010 << 3 | 0b001], 3) == ["1*0"]
+        assert _words([0b1001 << 4 | 0b0110, 0b0110 << 4 | 0b1000, 0], 4) == ["*11*", "0**1", "0000"]
+
     # both sides of each field boundary: 8, 16, 32 and 64 digits
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 63, 64])
     def test_matches_the_code_by_code_write(self, n):
@@ -305,5 +317,8 @@ class TestBulkWrite:
                  (1 << (n - 1) | 1) << n | full >> 1 & ~1]
         for size in (0, 1, 2, 1000, 2 * _RUN + 5):
             codes = edges + self.codes(n, size, 0)
-            assert _words(codes, n) == [_word(code, n) for code in codes]
-            assert _parse_words(_words(codes, n)) == codes
+            words = _words(codes, n)
+            # code by code: each word has n digits and reads back to its code
+            assert set(map(len, words)) == {n}
+            assert list(map(_parse_word, words)) == codes
+            assert _parse_words(words) == codes

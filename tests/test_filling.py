@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -33,7 +34,7 @@ from cubefill import (
     support_subcube,
 )
 from cubefill import filling
-from cubefill.faces import Face, _boundary, _coboundary, _degree_codes, _free_at, _parse_word, _word
+from cubefill.faces import Face, _boundary, _coboundary, _degree_codes, _free_at, _parse_word, _words
 from cubefill.filling import (
     _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin,
     _recursive_fill_chain, _slice_counts,
@@ -716,7 +717,9 @@ class TestResidualRule:
 
     def test_a_ranked_search_peaks_no_higher_than_on_sets(self, monkeypatch):
         # at the rule's edge, 2^10 vertices: the ranking and the int boundaries it
-        # caches take less than the sets and sorted prefixes they replace
+        # caches take less than the sets and sorted prefixes they replace, measured
+        # on tables cleared first, so the ranked peak includes building them
+        filling._ranked.cache_clear()
         z = random_cycle(10, 0, 0.006, 2)
         results, peaks = [], []
         for rule in (filling._RANKED, 0):
@@ -892,7 +895,7 @@ class TestSlicePasses:
         for n, size in cases:
             full = (1 << n) - 1
             z = random_codes(rng, n, size)
-            words = [_word(code, n) for code in z]
+            words = _words(list(z), n)
             for live in (full, rng.getrandbits(n), rng.getrandbits(n) | 1 << n - 1):
                 expected = [
                     (1 << i, *(sum(w[i] == s for w in words) for s in "10*"))
@@ -1171,10 +1174,21 @@ class TestFillRefused:
         # the cycle check comes before the budget's, so a non-cycle under a
         # zero budget is refused as a non-cycle
         z = Chain.from_words("*00", "0*0", "1*1")
-        with pytest.raises(FillRefused, match="not a cycle: boundary has 4 faces") as refused:
+        message = "chain is not a cycle: boundary has 4 faces (100, 010, 101, 111)"
+        with pytest.raises(FillRefused, match=f"^{re.escape(message)}$") as refused:
             engine(z)
         assert isinstance(refused.value, ValueError)
         assert refused.value.boundary == z.boundary()
+
+    def test_the_boundary_sample_stops_at_six_faces(self):
+        # every other face of a 2-cycle of Q_6, in face order: 32 boundary faces, the 6 least listed
+        z = random_cycle(6, 2, 0.05, 4)
+        half = Chain(6, 2, frozenset(sorted(z.support)[::2]))
+        message = ("chain is not a cycle: boundary has 32 faces "
+                   "(*00010, *10110, *11110, *10001, *10101, *01011)")
+        with pytest.raises(FillRefused, match=f"^{re.escape(message)}$") as refused:
+            linear_fill(half)
+        assert refused.value.boundary == half.boundary()
 
 
 class TestFillResult:
@@ -1305,6 +1319,7 @@ def test_fillings_stay_valid_under_cube_symmetries():
                 assert_within_certificate(result, image)
             image_exact = exact_fill(image, 2_000)
             assert_within_certificate(image_exact, image)
+            assert image_exact.lower_bound == exact.lower_bound, z
             if exact.optimal and image_exact.optimal:
                 assert image_exact.filling.norm == exact.filling.norm, z
                 compared += 1
