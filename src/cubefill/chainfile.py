@@ -72,6 +72,8 @@ def parse_chain_text(text: str) -> Chain:
 def format_chain_text(chain: Chain) -> str:
     if chain.k < 0:
         raise ValueError("chain files cannot hold degree labels below 0")
+    if chain.n == 0 and chain.codes:
+        raise ValueError("chain files cannot hold the vertex of Q_0, whose word is empty")
     # an empty chain's degree label is nominal and may sit one above n
     # (the filling of an empty top-degree cycle); clamp it into file range
     degree = min(chain.k, chain.n) if not chain.codes else chain.k
@@ -94,5 +96,7 @@ def read_chain(path: str | os.PathLike) -> Chain:
 
 
 def write_chain(chain: Chain, path: str | os.PathLike) -> None:
+    # built before the file is opened, so a chain the format refuses leaves it as it was
+    text = format_chain_text(chain)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_chain_text(chain))
+        handle.write(text)

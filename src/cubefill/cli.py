@@ -5,7 +5,8 @@ Each command returns its status and results; ``main`` alone reads the chain
 file, turns any ``ValueError`` raised reading it or running the command into
 exit 2, emits the report and reads the exit code off the status: 0 ok, 2
 invalid input, 3 bound violation or engine error, 4 I/O.  ``fill`` alone
-lists a non-cycle's boundary and maps any other engine exception to exit 3.
+refuses a non-cycle with exit 2, listing its boundary as ``verify`` does, and
+maps any other engine exception to exit 3.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ def parse_face(word: str) -> Face:
 
 
 def render_face(face: Face) -> str:
-    """Inverse of parse_face."""
+    """Inverse of parse_face for n >= 1; Q_0's one word, "", is one parse_face refuses."""
     return _words([face.code], face.n)[0]
 
 

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from cubefill import (
     Chain,
     ChainFormatError,
+    Face,
     format_chain_text,
     minimizer_cycle,
     parse_chain_text,
@@ -11,9 +14,24 @@ from cubefill import (
 )
 
 
-def test_round_trip():
-    z = minimizer_cycle(4, 2)
-    assert parse_chain_text(format_chain_text(z)) == z
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 32, 33, 64])
+def test_round_trip(tmp_path, n):
+    # a seeded random chain and the empty chain of each degree, the empty chain's nominal
+    # labels -1 and n+1, and Q_0's vertex, whose word is empty
+    rng = random.Random(n)
+    chains = [Chain(n, -1), Chain(n, n + 1)]
+    for k in range(n + 1):
+        masks = [sum(1 << i for i in rng.sample(range(n), k)) for _ in range(5)]
+        chains += [Chain(n, k), Chain(n, k, {Face(n, m, rng.getrandbits(n) & ~m) for m in masks})]
+    path = tmp_path / "z.chain"
+    for z in chains:
+        path.write_bytes(b"kept")
+        if z.k < 0 or n == 0 and z.norm:  # refused before a byte is written
+            with pytest.raises(ValueError):
+                write_chain(z, path)
+            assert path.read_bytes() == b"kept"
+        else:  # the nominal label n+1 is written as n
+            assert parse_chain_text(format_chain_text(z)) == (z if z.k <= n else Chain(n, n))
 
 
 def test_round_trip_empty():
@@ -74,9 +92,15 @@ def test_file_round_trip(tmp_path):
     assert read_chain(path) == z
 
 
-def test_negative_degree_not_serializable():
+def test_negative_degree_not_serializable(tmp_path):
     with pytest.raises(ValueError):
         format_chain_text(Chain(3, -1))
+    path = tmp_path / "hexagon.chain"
+    write_chain(minimizer_cycle(3, 1), path)
+    saved = path.read_bytes()
+    with pytest.raises(ValueError, match="below 0"):
+        write_chain(Chain(3, -1), path)
+    assert path.read_bytes() == saved
 
 
 def test_empty_above_top_degree_clamps_its_nominal_label():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -716,3 +718,74 @@ class TestBoundViolationTripwire:
         assert code == EXIT_BOUND_VIOLATION
         assert report["status"] == "bound-violation"
         assert report["results"]["lower_bound"] == 4
+
+
+# CLI reports pinned end to end, one row each: the input file is made by a CLI command
+# (given --out) or written from text, and one command run on it exits 0 with status ok
+# and the row's results.  A row may name the chain the input holds or the filling's sha256.
+Q12_K2 = ["random", "12", "2", "--density", "0.01", "--seed", "1"]
+Q12_K1 = ["random", "12", "1", "--density", "0.01", "--seed", "1"]
+CELL_Q5 = "cube 5 2\n**001\n**011\n*00*1\n*10*1\n0*0*1\n1*0*1\n"  # the boundary of **0*1
+LINEAR, RECURSIVE, EXACT = (["fill", "--strategy", s] for s in ("linear", "recursive", "exact"))
+ONE_CELL = {"filling_norm": 1}
+
+
+def square(n):
+    # free at coordinates 2 and n: words on both sides of every field boundary of the bulk
+    # reader and the slice counts (n digits or 2n bits in 8, 16, 32 or 64 bits, or two numerals)
+    mid = ("01" * 32)[: n - 3]
+    return f"cube {n} 1\n1*{mid}0\n1*{mid}1\n10{mid}*\n11{mid}*\n"
+
+
+def pin(make, argv, results, id, holds=None, fill_sha256=None):
+    return pytest.param(make, argv, results, holds, fill_sha256, id=id)
+
+
+CLI_PINS = [
+    pin(["random", "5", "1", "--density", "0.12", "--seed", "3"], ["verify"], {"cycle": True},
+        "random-q5", holds=random_cycle(5, 1, 0.12, 3)),
+    pin(["random", "6", "1", "--density", "0.25", "--seed", "1"], ["verify"], {"cycle": True},
+        "random-q6", holds=random_cycle(6, 1, 0.25, 1)),
+    # the residual kept as one int over Q_7's 672 ranked 2-faces
+    pin(["random", "7", "2", "--density", "0.1", "--seed", "2"], [*EXACT, "--budget", "20000"],
+        {"filling_norm": 103, "optimal": False, "nodes_explored": 20001, "lower_bound": 41},
+        "q7-exact"),
+    # packed count columns and XOR side moves; 12 lone 3-cube boundaries and one large part
+    pin(Q12_K2, LINEAR, {"filling_norm": 6242}, "q12-linear"),
+    pin(Q12_K2, RECURSIVE, {"filling_norm": 6242}, "q12-recursive"),
+    pin(Q12_K2, ["verify"], {"cycle": True, "components": 13}, "q12-verify"),
+    # the recursive engine fills each of the 98 components in its own support cell
+    pin(Q12_K1, RECURSIVE, {"filling_norm": 2525}, "q12k1-recursive",
+        fill_sha256="57b56d6dfeef95ab3f9badd3d65894fa70cd54a1f48610cd9811546bcf34e8b9"),
+    pin(Q12_K1, LINEAR, {"filling_norm": 3233}, "q12k1-linear"),
+    # the support cell read off the slice counts
+    pin("cube 6 1\n1*0011\n1*0111\n100*11\n110*11\n", ["verify"],
+        {"cycle": True, "components": 1, "support_active_coordinates": 2}, "square-q6"),
+    *(pin(square(n), argv, results, f"square-q{n}-{argv[-1]}")
+      for n in (64, 33, 32, 17, 16, 9, 5, 4)
+      for argv, results in [(["verify"], {"cycle": True, "norm": 4, "support_active_coordinates": 2}),
+                            (LINEAR, ONE_CELL), (RECURSIVE, ONE_CELL)]),
+    # the paper's extremal family proved at the root: the slicing bound meets the
+    # linear seed's C(16, 9) = 11,440 cells before any node
+    pin(["gen-minimizer", "16", "8"], EXACT,
+        {"optimal": True, "nodes_explored": 0, "lower_bound": 11440, "filling_norm": 11440},
+        "minimizer-16-8-exact"),
+    pin(CELL_Q5, LINEAR, ONE_CELL, "cell-linear"),
+    pin(CELL_Q5, RECURSIVE, ONE_CELL, "cell-recursive"),
+    pin(CELL_Q5, EXACT, {**ONE_CELL, "optimal": True, "nodes_explored": 0}, "cell-exact"),
+]
+
+
+@pytest.mark.parametrize("make, argv, results, holds, fill_sha256", CLI_PINS)
+def test_cli_report(tmp_path, capsys, make, argv, results, holds, fill_sha256):
+    path = tmp_path / "in.chain"
+    if isinstance(make, str):
+        path.write_text(make)
+    else:
+        assert run_json(capsys, [*make, "--out", str(path), "--json"])[0] == EXIT_OK
+    code, report = run_json(capsys, [argv[0], str(path), *argv[1:], "--json"])
+    assert (code, report["status"]) == (EXIT_OK, "ok")
+    assert {key: report["results"][key] for key in results} == results
+    assert holds is None or read_chain(path) == holds
+    if fill_sha256 is not None:
+        assert hashlib.sha256(Path(f"{path}.fill").read_bytes()).hexdigest() == fill_sha256

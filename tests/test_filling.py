@@ -490,8 +490,8 @@ class TestExactFill:
         # cells, so the first dive runs deeper than the recursion limit
         z = random_cycle(10, 1, 0.08, seed=1)
         result = exact_fill(z, 1100)
-        assert not result.optimal
-        assert result.nodes_explored == 1101
+        assert (result.filling.norm, result.optimal, result.nodes_explored) == (1721, False, 1101)
+        assert result.lower_bound == 523
         assert result.filling.boundary() == z
 
     def test_best_filling_improves_during_the_search(self):
@@ -731,7 +731,8 @@ class TestResidualRule:
             finally:
                 tracemalloc.stop()
         assert results[0] == results[1]
-        assert results[0].nodes_explored == 5_001
+        assert (results[0].filling.norm, results[0].nodes_explored) == (88, 5_001)
+        assert (results[0].optimal, results[0].lower_bound) == (False, 30)
         assert peaks[0] <= peaks[1]
 
 
