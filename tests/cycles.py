@@ -8,7 +8,7 @@ and a Gray-code walk visits all 2^d - 1 nonzero cycles with one XOR each.
 Run as ``python tests/cycles.py N K [STRIDE]`` to check every k-cycle of Q_N,
 or every STRIDE-th of the walk, and print the survey's totals as one JSON
 line; ``tests/test_exhaustive.py`` pins them for the smallest corpora and for
-every 64th 1-cycle of Q_4.
+every 64th 1-cycle of Q_4, and, run as a script, for every 1-cycle of Q_4.
 """
 
 from __future__ import annotations

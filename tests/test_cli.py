@@ -205,12 +205,33 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "line 3" in report["results"]["error"]
 
-    def test_missing_file_is_io_error(self, tmp_path, capsys):
-        code = main(["verify", str(tmp_path / "absent.chain")])
-        assert code == EXIT_IO
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("i/o error: ")
+
+# I/O the CLI cannot do: the input is missing or a directory, the filling's path is a
+# directory, --out is under a missing directory.  No report is printed, whatever the format.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{dir}/absent.chain"],
+        ["verify", "{dir}", "--json"],
+        ["fill", "{dir}/hex.chain", "--json"],
+        ["gen-minimizer", "3", "1", "--out", "{dir}/missing/hex.chain", "--json"],
+        ["random", "4", "1", "--out", "{dir}/missing/x.chain"],
+    ],
+    ids=[
+        "verify-a-missing-file",
+        "verify-a-directory",
+        "fill-onto-a-directory",
+        "gen-minimizer-into-a-missing-directory",
+        "random-into-a-missing-directory",
+    ],
+)
+def test_io_the_cli_cannot_do_exits_4(tmp_path, capsys, argv):
+    write_chain(HEXAGON, tmp_path / "hex.chain")
+    (tmp_path / "hex.chain.fill").mkdir()
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith("i/o error: ")
 
 
 @pytest.mark.parametrize("command", ["fill", "verify"])
@@ -507,12 +528,6 @@ class TestRandom:
              "--out", str(tmp_path / "x.chain"), "--json"],
         )
         assert code == EXIT_INVALID
-
-    def test_unwritable_path_is_io_error(self, tmp_path):
-        code = main(
-            ["random", "4", "1", "--out", str(tmp_path / "no" / "dir" / "x.chain")]
-        )
-        assert code == EXIT_IO
 
     # the CLI's own cap, then the refusals of face_count and random_cycle
     @pytest.mark.parametrize(
