@@ -84,12 +84,16 @@ def _boundary(code: int, n: int) -> frozenset[int]:
 
 def _dense_boundary(codes: Iterable[int], n: int) -> list[int]:
     """The boundary of k-cells, k >= 1, of Q_n: per free mask a numeral v has byte f set for
-    each cell mask << n | f, and pinning each free bit adds v ^ v << 8 * bit to mask ^ bit."""
+    each cell mask << n | f, and pinning each free bit adds v ^ v << 8 * bit to mask ^ bit.
+    The codes are filed by free mask in one pass, unsorted; one mask's row is built at a time."""
     size = 1 << n
+    groups: dict[int, list[int]] = {}
+    for code in codes:
+        groups.setdefault(code >> n, []).append(code & size - 1)
     facets: dict[int, int] = {}
-    for mask, group in itertools.groupby(sorted(codes), n.__rrshift__):
+    for mask, group in groups.items():
         row = bytearray(size)
-        for fixed in map((size - 1).__and__, group):
+        for fixed in group:
             row[fixed] = 1
         v = int.from_bytes(row, "little")
         for bit in _bits(mask):

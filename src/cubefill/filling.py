@@ -46,7 +46,7 @@ from __future__ import annotations
 import struct
 from bisect import insort
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import repeat
@@ -138,7 +138,7 @@ def _fill_zero_cycle(z: frozenset[int], n: int, out: set[int]) -> None:
             current ^= bit
 
 
-def _slice_counts(z: frozenset[int], n: int, live: int) -> list[tuple[int, int, int, int]]:
+def _slice_counts(z: Set[int], n: int, live: int) -> list[tuple[int, int, int, int]]:
     """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing.
     Each code goes to one field, the narrowest holding 2n bits (wider: its fixed bits and free
     mask to two 64-bit fields, the free mask read as bits 64 on); byte j of every field, read as
@@ -169,7 +169,7 @@ def _pin(
     return frozenset(map((put[state] ^ put[value]).__xor__, codes))
 
 
-def _cut(z: frozenset[int], n: int, bit: int, plus_value: int, out: set[int]) -> frozenset[int]:
+def _cut(z: Iterable[int], n: int, bit: int, plus_value: int, out: set[int]) -> set[int]:
     """Push the faces of z pinned to ``plus_value`` across the coordinate ``bit``.
 
     Adds the pushed (k+1)-chain to ``out`` and returns the rest, a cycle in the
@@ -177,11 +177,13 @@ def _cut(z: frozenset[int], n: int, bit: int, plus_value: int, out: set[int]) ->
     """
     sides = _split(z, n, bit)
     plus = sides[plus_value]
-    out ^= _pin(plus, n, bit, plus_value, None)
-    return _pin(plus, n, bit, plus_value, 1 - plus_value) ^ frozenset(sides[1 - plus_value])
+    out ^= set(map((bit << n | bit * plus_value).__xor__, plus))
+    rest = set(sides[1 - plus_value])
+    rest ^= set(map(bit.__xor__, plus))
+    return rest
 
 
-def _linear_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -> None:
+def _linear_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None:
     if not z:
         return
     k = (next(iter(z)) >> n).bit_count()
@@ -222,7 +224,7 @@ def linear_fill(z: Chain) -> FillResult:
     return FillResult(Chain._of(z.n, z.k + 1, frozenset(filling)), "linear", certificate)
 
 
-def _components(z: frozenset[int], n: int) -> list[frozenset[int]]:
+def _components(z: Set[int], n: int) -> list[frozenset[int]]:
     """Faces linked by shared facets, in order of least face: numbered in face order, each
     face is linked both ways to the first face seen with each of its facets, built by maps one
     free-coordinate rank at a time, and the links are walked from each unvisited face."""
@@ -275,7 +277,7 @@ def support_subcube(z: Chain) -> Face:
     return _face(active << z.n | on_one & ~active, z.n)
 
 
-def _recursive_fill_chain(z: frozenset[int], n: int, live: int, out: set[int]) -> None:
+def _recursive_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None:
     if not z:
         return
     k = (next(iter(z)) >> n).bit_count()

@@ -3,7 +3,9 @@ import hashlib
 import pickle
 import random
 import re
+import tracemalloc
 from collections import Counter
+from functools import cache, partial
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from cubefill import (
     read_chain,
     write_chain,
 )
-from cubefill.faces import _dense_boundary
+from cubefill.faces import _degree_codes, _dense_boundary
 
 HEXAGON = Chain.from_words("*00", "*11", "0*1", "1*0", "00*", "11*")
 
@@ -127,6 +129,25 @@ def boundary_and_kernel(z):
     """z's boundary under the module's own rule, and whether the numerals summed it."""
     with mock.patch.object(chains_module, "_dense_boundary", wraps=_dense_boundary) as spy:
         return z.boundary(), spy.called
+
+
+@cache
+def seeded_random_chains():
+    """2,000 seeded random chains of degree >= 1 in Q_1..Q_9, and their boundaries as sets."""
+    rng = random.Random(23)
+    pools = {
+        (n, k): [face.code for face in enumerate_faces(n, k)]
+        for n in range(1, 10) for k in range(1, n + 1)
+    }
+    zs = []
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        k = rng.randint(1, n)
+        pool = pools[n, k]
+        codes = rng.sample(pool, rng.randint(0, min(400, len(pool))))
+        zs.append(Chain._of(n, k, frozenset(codes)))
+    with mock.patch.object(chains_module, "_DENSE", 0):
+        return zs, [z.boundary() for z in zs]
 
 
 class TestBoundary:
@@ -237,25 +258,38 @@ class TestBoundary:
         )
 
     def test_numerals_match_sets_on_seeded_random_chains(self):
-        rng = random.Random(23)
-        pools = {
-            (n, k): [face.code for face in enumerate_faces(n, k)]
-            for n in range(1, 10) for k in range(1, n + 1)
-        }
-        zs = []
-        for _ in range(2000):
-            n = rng.randint(1, 9)
-            k = rng.randint(1, n)
-            pool = pools[n, k]
-            codes = rng.sample(pool, rng.randint(0, min(400, len(pool))))
-            zs.append(Chain._of(n, k, frozenset(codes)))
-        with mock.patch.object(chains_module, "_DENSE", 0):
-            sets = [z.boundary() for z in zs]
+        zs, sets = seeded_random_chains()
         assert [frozenset(_dense_boundary(z.codes, z.n)) for z in zs] == [b.codes for b in sets]
         # under the module's own rule both kernels run, and agree with the sets
         with mock.patch.object(chains_module, "_dense_boundary", wraps=_dense_boundary) as spy:
             assert [z.boundary() for z in zs] == sets
         assert 500 <= spy.call_count <= 1500
+
+    def test_the_kernel_holds_one_row_at_a_time(self):
+        # at the rule's edge: comb(12, 4) * 2^12 = 64 * 4 * 7,920; the 4-KiB rows of all
+        # 495 free masks held at once would add about 2 MiB to the output's 2.3 MiB
+        z = Chain._of(12, 4, frozenset(random.Random(1).sample(list(_degree_codes(12, 4)), 7920)))
+        assert boundary_and_kernel(z)[1]
+        tracemalloc.start()
+        try:
+            boundary = _dense_boundary(z.codes, z.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with mock.patch.object(chains_module, "_DENSE", 0):
+            assert frozenset(boundary) == z.boundary().codes
+        assert peak < 3.4 * 2**20
+
+    @pytest.mark.parametrize("order", [
+        sorted,
+        partial(sorted, reverse=True),
+        lambda codes: random.Random(5).sample(sorted(codes), len(codes)),
+        lambda codes: (code for code in sorted(codes)),  # read once
+    ], ids=["sorted", "reversed", "shuffled", "generator"])
+    def test_numerals_do_not_depend_on_the_input_order(self, order):
+        zs, sets = seeded_random_chains()
+        got = [frozenset(_dense_boundary(order(z.codes), z.n)) for z in zs]
+        assert got == [b.codes for b in sets]
 
     def test_vertex_chain_reference_is_the_empty_degree_minus_one_chain(self):
         z = Chain.from_words("010", "111")

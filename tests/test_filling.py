@@ -34,7 +34,9 @@ from cubefill import (
     support_subcube,
 )
 from cubefill import filling
-from cubefill.faces import Face, _boundary, _coboundary, _degree_codes, _free_at, _parse_word, _words
+from cubefill.faces import (
+    Face, _boundary, _coboundary, _degree_codes, _free_at, _parse_word, _split, _words,
+)
 from cubefill.filling import (
     _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin,
     _recursive_fill_chain, _slice_counts,
@@ -933,6 +935,45 @@ class TestSlicePasses:
                     put = bit << n if value is None else bit if value == 1 else 0
                     expected = frozenset(code & ~(bit << n | bit) | put for code in codes)
                     assert _pin(codes, n, bit, state, value) == expected, (n, i, state, value)
+
+    @staticmethod
+    def pin_cut(z, n, bit, plus_value, out):
+        """``_cut`` by its definition: the pushed side and the moved side as ``_pin`` makes them."""
+        sides = _split(z, n, bit)
+        plus, minus = sides[plus_value], sides[1 - plus_value]
+        out ^= _pin(plus, n, bit, plus_value, None)
+        return _pin(plus, n, bit, plus_value, 1 - plus_value) ^ frozenset(minus)
+
+    def test_cut_matches_its_pin_definition(self):
+        rng = random.Random(12)
+        for n, k, density, seed in ((7, 1, 0.05, 1), (6, 2, 0.05, 2), (6, 3, 0.05, 3)):
+            z = random_cycle(n, k, density, seed).codes
+            for i in range(n):
+                bit = 1 << i
+                for plus_value in (0, 1):
+                    # a filling under way that already holds some of the pushed cells
+                    plus = _split(z, n, bit)[plus_value]
+                    held = set(_pin(rng.sample(plus, len(plus) // 2), n, bit, plus_value, None))
+                    out, expected_out = set(held), set(held)
+                    rest = _cut(z, n, bit, plus_value, out)
+                    assert rest == self.pin_cut(z, n, bit, plus_value, expected_out), (n, k, i)
+                    assert out == expected_out, (n, k, i)
+
+    @pytest.mark.parametrize("words, i, plus_value, rest_words, out_words", [
+        # the boundary of the squares **0 and 0**: at coordinate 2 each side moves onto the other
+        (["*00", "*10", "1*0", "0*1", "00*", "01*"], 1, 0, [], ["**0", "0**"]),
+        # every face sits at 1 on coordinate 3: nothing to push, or every face moved
+        (["0*1", "1*1", "*01", "*11"], 2, 0, ["0*1", "1*1", "*01", "*11"], []),
+        (["0*1", "1*1", "*01", "*11"], 2, 1, ["0*0", "1*0", "*00", "*10"],
+         ["0**", "1**", "*0*", "*1*"]),
+    ], ids=["moves-cancel", "empty-plus", "empty-rest"])
+    def test_cut_edges(self, words, i, plus_value, rest_words, out_words):
+        z = Chain.from_words(*words)
+        out, expected_out = set(), set()
+        rest = _cut(z.codes, z.n, 1 << i, plus_value, out)
+        assert rest == self.pin_cut(z.codes, z.n, 1 << i, plus_value, expected_out)
+        assert out == expected_out
+        assert (rest, out) == (set(map(_parse_word, rest_words)), set(map(_parse_word, out_words)))
 
 
 class TestComponents:
