@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import repeat
 from math import comb
+from operator import xor
 
 from .faces import (
     MAX_COORDINATES, Face, _degree_codes, _delete, _dense_boundary, _face, _free_at, _frozen,
@@ -118,8 +120,8 @@ class Chain:
         # faces free at a coordinate drop it in two ways, one XOR each
         for bit, free in _free_at(list(codes), n):
             free = list(free)
-            odd ^= set(map((bit << n).__xor__, free))
-            odd ^= set(map((bit << n | bit).__xor__, free))
+            odd ^= set(map(xor, free, repeat(bit << n)))
+            odd ^= set(map(xor, free, repeat(bit << n | bit)))
         return Chain._of(n, max(k - 1, -1), frozenset(odd))
 
     def is_cycle(self) -> bool:

@@ -33,8 +33,8 @@ per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing.
 They give the support cell, here and in ``support_subcube``: the
 coordinates something crosses or where faces sit on both sides.  The
 linear engine counts only those and the lowest other live coordinate,
-standing for all that do not vary.  A side of a cut, one state there,
-moves across by one XOR; fillings are summed into one set.
+standing for all that do not vary.  Each level packs its faces once for
+its counts and its cut; a side moves across by one XOR into one set.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -49,7 +49,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Set
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import repeat
+from itertools import compress, repeat
 from operator import and_, lshift, neg, or_, rshift, xor
 
 from .chains import Chain
@@ -77,6 +77,7 @@ DEFAULT_NODE_BUDGET = 1_000_000
 # sets), else as a set with its _LOW least faces kept sorted: 16 was the fastest of 4, 8, 16,
 # 32 and the whole residual, measured when every exact-search workload search ran on sets
 _RANKED, _LOW = 1 << 10, 16
+_Packing = tuple[list[int], list[int], int, int]  # codes, byte columns, low, free_at
 
 
 class FillResult(namedtuple(
@@ -138,27 +139,29 @@ def _fill_zero_cycle(z: frozenset[int], n: int, out: set[int]) -> None:
             current ^= bit
 
 
-def _slice_counts(z: Set[int], n: int, live: int) -> list[tuple[int, int, int, int]]:
-    """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing.
-    Each code goes to one field, the narrowest holding 2n bits (wider: its fixed bits and free
-    mask to two 64-bit fields, the free mask read as bits 64 on); byte j of every field, read as
-    a numeral with a byte per face, gives each count in one shift, mask and popcount."""
+def _slice_counts(z: Set[int], n: int, live: int) -> tuple[list[tuple[int, int, int, int]], _Packing]:
+    """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing;
+    and the packing ``_cut`` reads too: the codes in packing order, the byte columns, ``low`` (a
+    byte 1 per face) and ``free_at``.  Each code goes to one field, the narrowest holding 2n bits
+    (wider: fixed bits and free mask to two 64-bit fields, ``free_at`` 64, else n); byte j of
+    every field, a numeral with a byte per face, gives each count in one shift, mask and popcount."""
+    codes = list(z)
     if 2 * n <= 64:
         width, field = _field(2 * n)
-        packs, free_at = [struct.pack(f"<{len(z)}{field}", *z)], n
+        packs, free_at = [struct.pack(f"<{len(codes)}{field}", *codes)], n
     else:
         width, free_at = 64, 64
-        packs = [struct.pack(f"<{len(z)}Q", *values)
-                 for values in (map(((1 << n) - 1).__and__, z), map(n.__rrshift__, z))]
+        packs = [struct.pack(f"<{len(codes)}Q", *values)
+                 for values in (map(((1 << n) - 1).__and__, codes), map(n.__rrshift__, codes))]
     columns = [int.from_bytes(p[j::width // 8], "little") for p in packs for j in range(width // 8)]
-    low = int.from_bytes(bytes([1]) * len(z), "little")
+    low = int.from_bytes(bytes([1]) * len(codes), "little")
     counts = []
     for bit in _bits(live):
         i = bit.bit_length() - 1
         ones = (columns[i >> 3] >> (i & 7) & low).bit_count()
         crossing = (columns[i + free_at >> 3] >> (i + free_at & 7) & low).bit_count()
-        counts.append((bit, ones, len(z) - ones - crossing, crossing))
-    return counts
+        counts.append((bit, ones, len(codes) - ones - crossing, crossing))
+    return counts, (codes, columns, low, free_at)
 
 
 def _pin(
@@ -169,17 +172,21 @@ def _pin(
     return frozenset(map((put[state] ^ put[value]).__xor__, codes))
 
 
-def _cut(z: Iterable[int], n: int, bit: int, plus_value: int, out: set[int]) -> set[int]:
-    """Push the faces of z pinned to ``plus_value`` across the coordinate ``bit``.
+def _cut(packing: _Packing, n: int, bit: int, plus_value: int, out: set[int]) -> set[int]:
+    """Push the faces of z pinned to ``plus_value`` across the coordinate ``bit``, each side picked
+    off z's packing from ``_slice_counts`` by its byte-per-face numeral; crossing faces go unread.
 
     Adds the pushed (k+1)-chain to ``out`` and returns the rest, a cycle in the
     facet pinned to the other value: its fillings plus the pushed chain fill z.
     """
-    sides = _split(z, n, bit)
-    plus = sides[plus_value]
-    out ^= set(map((bit << n | bit * plus_value).__xor__, plus))
-    rest = set(sides[1 - plus_value])
-    rest ^= set(map(bit.__xor__, plus))
+    codes, columns, low, free_at = packing
+    i = bit.bit_length() - 1
+    ones = columns[i >> 3] >> (i & 7) & low
+    sides = (low ^ ones ^ (columns[i + free_at >> 3] >> (i + free_at & 7) & low), ones)
+    plus = list(compress(codes, sides[plus_value].to_bytes(len(codes), "little")))
+    out ^= set(map(xor, plus, repeat(bit << n | bit * plus_value)))
+    rest = set(compress(codes, sides[1 - plus_value].to_bytes(len(codes), "little")))
+    rest ^= set(map(xor, plus, repeat(bit)))
     return rest
 
 
@@ -204,7 +211,7 @@ def _linear_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None:
             out ^= {live << n | next(iter(z)) & ~live & ((1 << n) - 1)}
             return
         outside = live & ~varying
-        counts = _slice_counts(z, n, varying | outside & -outside)
+        counts, packing = _slice_counts(z, n, varying | outside & -outside)
         _, bit, flip = min(
             (2 * (k + 1) * min(ones, zeros) + (d - k - 1) * (ones + zeros), bit, ones > zeros)
             for bit, ones, zeros, _ in counts
@@ -212,7 +219,7 @@ def _linear_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None:
         varying = sum(b for b, ones, zeros, _ in counts if ones and zeros)
         live &= ~bit
         varying &= live
-        z = _cut(z, n, bit, 1 - flip, out)
+        z = _cut(packing, n, bit, 1 - flip, out)
 
 
 def linear_fill(z: Chain) -> FillResult:
@@ -271,7 +278,7 @@ def support_subcube(z: Chain) -> Face:
     the support takes both pinned values there.  The empty chain gets the
     vertex 0...0.
     """
-    counts = _slice_counts(z.codes, z.n, (1 << z.n) - 1)
+    counts, _ = _slice_counts(z.codes, z.n, (1 << z.n) - 1)
     active = sum(bit for bit, ones, zeros, crossing in counts if crossing or ones and zeros)
     on_one = sum(bit for bit, ones, _, _ in counts if ones)
     return _face(active << z.n | on_one & ~active, z.n)
@@ -292,7 +299,8 @@ def _recursive_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None
 
     # Coordinates with everything on one side (so, on a cycle, nothing
     # crosses them): drop them from the live cell before any case analysis.
-    counts = [count for count in _slice_counts(z, n, live) if count[1] and count[2]]
+    counts, packing = _slice_counts(z, n, live)
+    counts = [count for count in counts if count[1] and count[2]]
     live = sum(count[0] for count in counts)
 
     consts = constants_for(k)
@@ -314,7 +322,7 @@ def _recursive_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None
     inner = live & ~bit
     if cheap_tag == 0:
         # Case 1: push the smaller side across the slice.
-        rest = _cut(z, n, bit, 1 if ones <= zeros else 0, out)
+        rest = _cut(packing, n, bit, 1 if ones <= zeros else 0, out)
         return _recursive_fill_chain(rest, n, inner, out)
 
     # Case 2: fill the crossing one degree down in the 0 facet, cap it with

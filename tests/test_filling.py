@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import cache, partial, reduce
@@ -225,10 +226,11 @@ def reference_linear_fill_chain(z, n, live, out):
     # stay in integers.  Ties go to the lowest coordinate, then plus = 1.
     _, bit, flip = min(
         (2 * (k + 1) * pushed + (d - k - 1) * (ones + zeros), bit, flip)
-        for bit, ones, zeros, _ in _slice_counts(z, n, live)
+        for bit, ones, zeros, _ in _slice_counts(z, n, live)[0]
         for flip, pushed in ((0, ones), (1, zeros))
     )
-    reference_linear_fill_chain(_cut(z, n, bit, 1 - flip, out), n, live & ~bit, out)
+    rest = TestSlicePasses.pin_cut(z, n, bit, 1 - flip, out)
+    reference_linear_fill_chain(rest, n, live & ~bit, out)
 
 
 class TestLinearEngineAgainstItsReference:
@@ -886,6 +888,11 @@ def random_codes(rng, n, size):
     return frozenset(map(_parse_word, words))
 
 
+def packed(z, n):
+    """The packing ``_slice_counts`` hands ``_cut``, with no coordinate counted."""
+    return _slice_counts(z, n, 0)[1]
+
+
 class TestSlicePasses:
     def test_slice_counts_match_a_per_face_count(self):
         # every n, so each field boundary of the packed codes is crossed: 2n bits
@@ -904,7 +911,11 @@ class TestSlicePasses:
                     (1 << i, *(sum(w[i] == s for w in words) for s in "10*"))
                     for i in range(n) if live >> i & 1
                 ]
-                assert _slice_counts(z, n, live) == expected, (n, size, live)
+                counts, (codes, _, low, free_at) = _slice_counts(z, n, live)
+                assert counts == expected, (n, size, live)
+                assert (sorted(codes), low, free_at) == (
+                    sorted(z), int.from_bytes(bytes([1]) * len(z), "little"), n if n <= 32 else 64
+                ), (n, size, live)
 
     def test_free_at_matches_a_per_face_filter(self):
         rng = random.Random(10)
@@ -944,20 +955,29 @@ class TestSlicePasses:
         out ^= _pin(plus, n, bit, plus_value, None)
         return _pin(plus, n, bit, plus_value, 1 - plus_value) ^ frozenset(minus)
 
+    def check_every_cut(self, z, n, rng):
+        """``_cut`` against ``pin_cut`` at every coordinate and side of z; returns whether a face
+        crossed some coordinate and whether some moved side cancelled a face of the other."""
+        crossed = cancelled = False
+        for i in range(n):
+            bit = 1 << i
+            sides = _split(z, n, bit)
+            crossed |= bool(sides[2])
+            for plus_value in (0, 1):
+                # a filling under way that already holds some of the pushed cells
+                plus = sides[plus_value]
+                cancelled |= not set(sides[1 - plus_value]).isdisjoint(map(bit.__xor__, plus))
+                held = set(_pin(rng.sample(plus, len(plus) // 2), n, bit, plus_value, None))
+                out, expected_out = set(held), set(held)
+                rest = _cut(packed(z, n), n, bit, plus_value, out)
+                assert rest == self.pin_cut(z, n, bit, plus_value, expected_out), (n, i, plus_value)
+                assert out == expected_out, (n, i, plus_value)
+        return crossed, cancelled
+
     def test_cut_matches_its_pin_definition(self):
         rng = random.Random(12)
         for n, k, density, seed in ((7, 1, 0.05, 1), (6, 2, 0.05, 2), (6, 3, 0.05, 3)):
-            z = random_cycle(n, k, density, seed).codes
-            for i in range(n):
-                bit = 1 << i
-                for plus_value in (0, 1):
-                    # a filling under way that already holds some of the pushed cells
-                    plus = _split(z, n, bit)[plus_value]
-                    held = set(_pin(rng.sample(plus, len(plus) // 2), n, bit, plus_value, None))
-                    out, expected_out = set(held), set(held)
-                    rest = _cut(z, n, bit, plus_value, out)
-                    assert rest == self.pin_cut(z, n, bit, plus_value, expected_out), (n, k, i)
-                    assert out == expected_out, (n, k, i)
+            self.check_every_cut(random_cycle(n, k, density, seed).codes, n, rng)
 
     @pytest.mark.parametrize("words, i, plus_value, rest_words, out_words", [
         # the boundary of the squares **0 and 0**: at coordinate 2 each side moves onto the other
@@ -970,10 +990,43 @@ class TestSlicePasses:
     def test_cut_edges(self, words, i, plus_value, rest_words, out_words):
         z = Chain.from_words(*words)
         out, expected_out = set(), set()
-        rest = _cut(z.codes, z.n, 1 << i, plus_value, out)
+        rest = _cut(packed(z.codes, z.n), z.n, 1 << i, plus_value, out)
         assert rest == self.pin_cut(z.codes, z.n, 1 << i, plus_value, expected_out)
         assert out == expected_out
         assert (rest, out) == (set(map(_parse_word, rest_words)), set(map(_parse_word, out_words)))
+
+    @pytest.mark.parametrize("n", [16, 17, 32, 33, 64])
+    def test_packed_cut_across_field_shapes(self, n):
+        # the field widens from 32 to 64 bits at n = 16/17, is one 64-bit field at n = 32 and
+        # two from n = 33, the free masks read from bit 64 (so at n = 64 from bit n)
+        rng = random.Random(n)
+        seen = [
+            self.check_every_cut((lift(random_cycle(6, k, 0.05, seed), n, seed)
+                                  + lift(minimizer_cycle(k + 2, k), n, seed + 10)).codes, n, rng)
+            for seed, k in enumerate((1, 2, 3))
+        ]
+        assert any(crossed for crossed, _ in seen) and any(cancelled for _, cancelled in seen)
+
+    # recursive_fill(random_cycle(7, 3, 0.03, 30)), which takes case 1
+    CASE_1_FILLING = [
+        "****011", "****111", "***0*11", "***1*11", "**1**11", "*0***11", "*1***11", "0****11",
+        "1****11", "0**1**1", "*11***0", "*11***1", "**1*11*", "*11**1*", "1*1**1*", "*11*0**",
+        "*11*1**", "0*1*0**", "*110***", "*111***", "011****", "111****",
+    ]
+
+    @pytest.mark.parametrize("n", [7, 33, 64])
+    def test_recursive_case_1_cuts_keep_their_filling(self, monkeypatch, n):
+        cutters = []
+
+        def recording(*args):
+            cutters.append(sys._getframe(1).f_code.co_name)
+            return _cut(*args)
+
+        monkeypatch.setattr("cubefill.filling._cut", recording)
+        z = lift(random_cycle(7, 3, 0.03, 30), n, 5)
+        result = recursive_fill(z)
+        assert "_recursive_fill_chain" in cutters
+        assert result.filling == lift(Chain.from_words(*self.CASE_1_FILLING), n, 5)
 
 
 class TestComponents:
