@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce, total_ordering
 from math import comb
@@ -87,9 +88,9 @@ def _dense_boundary(codes: Iterable[int], n: int) -> list[int]:
     each cell mask << n | f, and pinning each free bit adds v ^ v << 8 * bit to mask ^ bit.
     The codes are filed by free mask in one pass, unsorted; one mask's row is built at a time."""
     size = 1 << n
-    groups: dict[int, list[int]] = {}
+    groups: defaultdict[int, list[int]] = defaultdict(list)
     for code in codes:
-        groups.setdefault(code >> n, []).append(code & size - 1)
+        groups[code >> n].append(code & size - 1)
     facets: dict[int, int] = {}
     for mask, group in groups.items():
         row = bytearray(size)

@@ -28,13 +28,11 @@ filling's codes come out as a ``Chain``, and no ``Face`` is built.
 A subproblem of the linear and recursive engines is a cycle inside the
 cell of its live coordinates: a facet or a support subcube of Q_n is
 itself a cell of Q_n, so a cut pins one live coordinate in place instead
-of renumbering into a smaller cube.  Each level chooses its cut from
-per-coordinate counts of the faces pinned to 1, pinned to 0 and crossing.
-They give the support cell, here and in ``support_subcube``: the
-coordinates something crosses or where faces sit on both sides.  The
-linear engine counts only those and the lowest other live coordinate,
-standing for all that do not vary.  Each level packs its faces once for
-its counts and its cut; a side moves across by one XOR into one set.
+of renumbering into a smaller cube.  Each level packs its faces once for
+its cut and its per-coordinate counts of faces pinned to 1, pinned to 0
+and crossing.  The linear engine counts the varying coordinates its input
+crosses and the lowest live one where nothing varies, no costlier than
+the other uncrossed ones, which it counts only if no count is below that.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -139,12 +137,10 @@ def _fill_zero_cycle(z: frozenset[int], n: int, out: set[int]) -> None:
             current ^= bit
 
 
-def _slice_counts(z: Set[int], n: int, live: int) -> tuple[list[tuple[int, int, int, int]], _Packing]:
-    """Per live coordinate, lowest first: its bit, then faces pinned to 1, pinned to 0, crossing;
-    and the packing ``_cut`` reads too: the codes in packing order, the byte columns, ``low`` (a
-    byte 1 per face) and ``free_at``.  Each code goes to one field, the narrowest holding 2n bits
-    (wider: fixed bits and free mask to two 64-bit fields, ``free_at`` 64, else n); byte j of
-    every field, a numeral with a byte per face, gives each count in one shift, mask and popcount."""
+def _pack(z: Set[int], n: int) -> _Packing:
+    """z's codes, byte columns, ``low`` (a byte 1 per face) and ``free_at``: each code goes to one
+    field, the narrowest holding 2n bits (wider: fixed bits and free mask to two 64-bit fields,
+    ``free_at`` 64, else n), and column j is byte j of every field, a numeral with a byte per face."""
     codes = list(z)
     if 2 * n <= 64:
         width, field = _field(2 * n)
@@ -154,14 +150,31 @@ def _slice_counts(z: Set[int], n: int, live: int) -> tuple[list[tuple[int, int, 
         packs = [struct.pack(f"<{len(codes)}Q", *values)
                  for values in (map(((1 << n) - 1).__and__, codes), map(n.__rrshift__, codes))]
     columns = [int.from_bytes(p[j::width // 8], "little") for p in packs for j in range(width // 8)]
-    low = int.from_bytes(bytes([1]) * len(codes), "little")
+    return codes, columns, int.from_bytes(bytes([1]) * len(codes), "little"), free_at
+
+
+def _slice_counts(
+    z: Set[int], n: int, live: int, packing: _Packing | None = None
+) -> tuple[list[tuple[int, int, int, int]], _Packing]:
+    """Per live coordinate, lowest first: its bit, faces pinned to 1, pinned to 0 and crossing,
+    each one shift, mask and popcount of a column; and the packing (``_pack(z, n)`` unless given)."""
+    codes, columns, low, free_at = packing = packing or _pack(z, n)
     counts = []
     for bit in _bits(live):
         i = bit.bit_length() - 1
         ones = (columns[i >> 3] >> (i & 7) & low).bit_count()
         crossing = (columns[i + free_at >> 3] >> (i + free_at & 7) & low).bit_count()
         counts.append((bit, ones, len(codes) - ones - crossing, crossing))
-    return counts, (codes, columns, low, free_at)
+    return counts, packing
+
+
+def _crossed(packing: _Packing) -> int:
+    """The coordinates some face leaves free: each free-mask column's bytes ORed by halving shifts."""
+    codes, columns, _, free_at = packing
+    ored = columns[free_at >> 3:]
+    for step in reversed(range((len(codes) - 1).bit_length())):
+        ored = [column | column >> (8 << step) for column in ored]
+    return int.from_bytes(bytes(column & 255 for column in ored), "little") >> (free_at & 7)
 
 
 def _pin(
@@ -174,11 +187,9 @@ def _pin(
 
 def _cut(packing: _Packing, n: int, bit: int, plus_value: int, out: set[int]) -> set[int]:
     """Push the faces of z pinned to ``plus_value`` across the coordinate ``bit``, each side picked
-    off z's packing from ``_slice_counts`` by its byte-per-face numeral; crossing faces go unread.
-
-    Adds the pushed (k+1)-chain to ``out`` and returns the rest, a cycle in the
-    facet pinned to the other value: its fillings plus the pushed chain fill z.
-    """
+    off z's packing (``_pack``) by its byte-per-face numeral, the crossing faces unread; adds the
+    pushed (k+1)-chain to ``out`` and returns the rest, a cycle in the facet pinned to the other
+    value: its fillings plus the pushed chain fill z."""
     codes, columns, low, free_at = packing
     i = bit.bit_length() - 1
     ones = columns[i >> 3] >> (i & 7) & low
@@ -199,26 +210,28 @@ def _linear_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None:
     # The cut minimizing the exact inductive cost in the d-dimensional live
     # cell, pushed + (d-k-1)/(2(k+1)) * (ones + zeros), scaled by 2(k+1) to
     # stay in integers, pushes the smaller side; ties go to the lowest
-    # coordinate, then plus = 1.  The live coordinates where z does not vary
-    # all cost the same and push nothing, so the lowest stands for them all,
-    # and a cut makes no coordinate vary: each level counts the coordinates
-    # that varied at the one before, plus that lowest one.
-    varying = live
+    # coordinate, then plus = 1.  A cut only moves or drops faces, so no
+    # coordinate starts to vary or to be crossed.  An uncrossed one costs
+    # (d-k-1) * |z| plus its pushed side: the lowest counted not to vary stands
+    # for all those, and the rest are counted only when no count is below that.
+    varying, crossed = live, 0
     while z:
         d = live.bit_count()
         if d == k + 1:
             # the only nonempty k-cycle in a (k+1)-cell is the cell's boundary
             out ^= {live << n | next(iter(z)) & ~live & ((1 << n) - 1)}
             return
-        outside = live & ~varying
-        counts, packing = _slice_counts(z, n, varying | outside & -outside)
-        _, bit, flip = min(
-            (2 * (k + 1) * min(ones, zeros) + (d - k - 1) * (ones + zeros), bit, ones > zeros)
-            for bit, ones, zeros, _ in counts
-        )
-        varying = sum(b for b, ones, zeros, _ in counts if ones and zeros)
+        packing = _pack(z, n)
+        crossed = crossed or _crossed(packing)
+        outside, skipped, counts = live & ~varying, varying & ~crossed, []
+        for part in (varying & crossed | outside & -outside, skipped):
+            counts += _slice_counts(z, n, part, packing)[0]
+            cost, bit, flip = min((2 * (k + 1) * min(ones, zeros) + (d - k - 1) * (ones + zeros),
+                                   bit, ones > zeros) for bit, ones, zeros, _ in counts)
+            if not skipped or cost < (d - k - 1) * len(z):
+                break
         live &= ~bit
-        varying &= live
+        varying &= live & ~sum(b for b, ones, zeros, _ in counts if not (ones and zeros))
         z = _cut(packing, n, bit, 1 - flip, out)
 
 

@@ -140,6 +140,26 @@ def lifted_sums():
             )
 
 
+def sparse_sums(count, seed=0, dims=(33, 64)):
+    """Seeded sums of 2-4 small cycles of one degree k = 1-3, random or alternating-block, each
+    moved by a coordinate permutation and a reflection, then pinned into Q_N, N in ``dims`` (both
+    ends, at least 6; 33..64 unless given), at seeded positions and values: many coordinates
+    separate the parts, and no face crosses them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k = rng.randint(*dims), rng.randint(1, 3)
+        z = Chain(n, k)
+        for _ in range(rng.randint(2, 4)):
+            m = rng.randint(k + 1, 6)
+            if rng.random() < 0.5:
+                part = minimizer_cycle(m, k)
+            else:
+                part = random_cycle(m, k, 0.15, rng.randrange(1 << 16))
+            part = reflected(permuted(part, rng.sample(range(m), m)), rng.choices((0, 1), k=m))
+            z += lift(part, n, rng.randrange(1 << 16))
+        yield z
+
+
 def small_cycles():
     yield HEXAGON
     yield Chain.from_words("**").boundary()
@@ -286,17 +306,71 @@ class TestLinearEngineAgainstItsReference:
             self.assert_same_filling(Chain.from_words(word).boundary())
 
     def test_counts_only_the_varying_coordinates_after_the_first_level(self, monkeypatch):
-        masks = []
+        calls = self.record_counts(monkeypatch)
+        z = lift(minimizer_cycle(4, 2), 64, 1)
+        linear_fill(z)
+        masks = [live for _, _, live, _ in calls]
+        # the first level counts the four coordinates some face crosses, not all of Q_64, and
+        # the next the three of them that still vary; no cut costs (d-k-1) * |z| or more, so
+        # no level counts the other 60
+        assert masks[0] == reduce(or_, map(z.n.__rrshift__, z.codes))
+        assert [mask.bit_count() for mask in masks] == [4, 3] and masks[1] & ~masks[0] == 0
 
-        def recording(z, n, live):
-            masks.append(live)
-            return _slice_counts(z, n, live)
+    @staticmethod
+    def record_counts(monkeypatch):
+        """Log each count the engine makes as (z, n, live, packing)."""
+        calls = []
+
+        def recording(z, n, live, packing=None):
+            calls.append((z, n, live, packing))
+            return _slice_counts(z, n, live, packing)
 
         monkeypatch.setattr("cubefill.filling._slice_counts", recording)
-        linear_fill(lift(minimizer_cycle(4, 2), 64, 1))
-        assert masks[0] == (1 << 64) - 1
-        # four coordinates vary, and the lowest other live one stands for the rest
-        assert len(masks) > 1 and all(mask.bit_count() <= 5 for mask in masks[1:])
+        return calls
+
+    def test_uncrossed_coordinates_count_when_no_crossed_cut_is_cheaper(self, monkeypatch):
+        calls = self.record_counts(monkeypatch)
+        # each coordinate the squares cross costs 2 * 2 * 2 + 2 * 4 = 16 = (d-k-1) * |z|, so
+        # coordinates 1 and 2, which separate the squares and which no face crosses, are
+        # counted too, in a second call off the same packing
+        squares = Chain.from_words("00**").boundary() + Chain.from_words("11**").boundary()
+        self.assert_same_filling(squares)
+        assert [live for _, _, live, _ in calls[:2]] == [0b1100, 0b0011]
+        assert calls[1][3] is calls[0][3]
+
+    def test_a_coordinate_where_nothing_varies_wins_a_tie_at_the_bound(self, monkeypatch):
+        cuts = []
+
+        def recording(packing, n, bit, *rest):
+            cuts.append(bit)
+            return _cut(packing, n, bit, *rest)
+
+        monkeypatch.setattr("cubefill.filling._cut", recording)
+        # d = 7, k = 1, |z| = 14: coordinates 4, 5 and 7 cost 2 * 2 * 5 + 5 * 10 = 70 =
+        # (d-k-1) * |z|, and so does coordinate 3, which every face pins to 0; it is counted only
+        # when no crossed cut costs less, and as the lowest of them it is the first cut
+        z = Chain.from_words(
+            "*100001", "*101100", "010*000", "010000*", "0101*00", "100*010", "100*111",
+            "1000*10", "100011*", "1001*11", "100101*", "110*101", "1100*01", "110110*",
+        )
+        self.assert_same_filling(z)
+        assert cuts[0] == 1 << 2
+
+    @pytest.mark.parametrize("dims", [(33, 64), (6, 9)])
+    def test_sparse_sums(self, monkeypatch, dims):
+        calls = self.record_counts(monkeypatch)
+        for z in sparse_sums(60, 1, dims):
+            self.assert_same_filling(z)
+        # a level's first count reads a new packing; a second one counts the uncrossed coordinates
+        levels = [call for i, call in enumerate(calls) if not i or call[3] is not calls[i - 1][3]]
+        # some level leaves uncounted a coordinate that varies there, so separates parts
+        assert any(
+            ones and zeros and not bit & live
+            for z, n, live, _ in levels for bit, ones, zeros, _ in _slice_counts(z, n, (1 << n) - 1)[0]
+        )
+        if dims == (6, 9):
+            # in small cubes some level finds no crossed cut below (d-k-1) * |z| and counts them
+            assert len(levels) < len(calls)
 
 
 class TestRecursiveFill:
@@ -1419,3 +1493,12 @@ def test_fillings_stay_valid_under_cube_symmetries():
                 assert image_exact.filling.norm == exact.filling.norm, z
                 compared += 1
     assert compared >= 90
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_filling.py: the linear engine against its reference on
+    # 1,000 seeded sparse sums, half in Q_33..Q_64 and half in Q_6..Q_9, as CI runs it
+    for dims in ((33, 64), (6, 9)):
+        for z in sparse_sums(500, 2, dims):
+            TestLinearEngineAgainstItsReference.assert_same_filling(z)
+    print("1,000 sparse sums: the engine's fillings match its reference")
