@@ -5,7 +5,11 @@ k stars: starred coordinates are free, the others are pinned to the written
 bit.  Inside the library a cell is one int, its code ``free_mask << n |
 fixed_bits``; within one degree the integer order of the codes is face
 order.  ``Face`` is the public view of one code.  Coordinates are 1-based
-in words and messages, 0-based inside the masks.  A list of words of one
+in words and messages, 0-based inside the masks.  A pass per coordinate
+reads codes packed by ``_fields``: each code in one little-endian field of
+its own bits, so fixed bit i is field bit i and free bit i is field bit
+n + i, for every n.  Both readers, ``_free_at`` here and ``filling._pack``,
+take byte j of every field as a column.  A list of words of one
 length is parsed in bulk, a run of words at a time: padded to fields of 8,
 16, 32 or 64 digits and read as two binary numerals, one of the free masks
 and one of the fixed bits.  A list of codes is written back the same way,
@@ -62,15 +66,22 @@ def _field(bits: int) -> tuple[int, str]:
     return width, "BHIQ"[width.bit_length() - 4]
 
 
+def _fields(codes: Sequence[int], n: int) -> tuple[bytes, int]:
+    """The codes of Q_n packed, and the bytes per field: each code in one little-endian field,
+    the narrowest of 8, 16, 32 or 64 bits that holds 2n bits, else 128, which struct lacks."""
+    if n > 32:
+        return b"".join(map(int.to_bytes, codes, itertools.repeat(16), itertools.repeat("little"))), 16
+    width, field = _field(2 * n)
+    return struct.pack(f"<{len(codes)}{field}", *codes), width // 8
+
+
 def _free_at(codes: Sequence[int], n: int) -> Iterator[tuple[int, Iterator[int]]]:
     """Per coordinate some code of Q_n leaves free, lowest first: its bit and those
-    codes, picked only as they are read."""
-    frees = list(map(n.__rrshift__, codes))
-    # little-endian 64-bit words on any host: byte j of each holds free bits 8j to 8j+7
-    packed = struct.pack(f"<{len(frees)}Q", *frees)
-    for bit in _bits(reduce(or_, frees, 0)):
-        at, shift = divmod(bit.bit_length() - 1, 8)
-        yield bit, itertools.compress(codes, packed[at::8].translate(_BIT_SET[shift]))
+    codes, picked off byte (n + i) >> 3 of each field (``_fields``) only as they are read."""
+    packed, stride = _fields(codes, n)
+    for bit in _bits(reduce(or_, codes, 0) >> n):
+        at, shift = divmod(n + bit.bit_length() - 1, 8)
+        yield bit, itertools.compress(codes, packed[at::stride].translate(_BIT_SET[shift]))
 
 
 def _boundary(code: int, n: int) -> frozenset[int]:

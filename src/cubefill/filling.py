@@ -28,11 +28,12 @@ filling's codes come out as a ``Chain``, and no ``Face`` is built.
 A subproblem of the linear and recursive engines is a cycle inside the
 cell of its live coordinates: a facet or a support subcube of Q_n is
 itself a cell of Q_n, so a cut pins one live coordinate in place instead
-of renumbering into a smaller cube.  Each level packs its faces once for
-its cut and its per-coordinate counts of faces pinned to 1, pinned to 0
-and crossing.  The linear engine counts the varying coordinates its input
-crosses and the lowest live one where nothing varies, no costlier than
-the other uncrossed ones, which it counts only if no count is below that.
+of renumbering into a smaller cube.  Each level packs its codes once, in
+fields of their own bits (``faces._fields``), for its cut and its counts
+of faces pinned to 1, pinned to 0 and crossing at each coordinate.  The
+linear engine counts the varying coordinates its input crosses and the
+lowest live one where nothing varies, no costlier than the other
+uncrossed ones, which it counts only if no count is below that.
 
 Degree-0 cycles (even vertex sets) are filled by pairing vertices along
 monotone edge paths; they sit outside the power-law regime but the linear
@@ -41,7 +42,6 @@ certificate n/2 * norm(z) still holds for the pairing.
 
 from __future__ import annotations
 
-import struct
 from bisect import insort
 from collections import namedtuple
 from collections.abc import Iterable, Set
@@ -52,7 +52,7 @@ from operator import and_, lshift, neg, or_, rshift, xor
 
 from .chains import Chain
 from .constants import c_constant, constants_for
-from .faces import Face, _bits, _boundary, _coboundary, _face, _field, _free_at, _split, _words
+from .faces import Face, _bits, _boundary, _coboundary, _face, _fields, _free_at, _split, _words
 from .faces import _degree_codes, face_count
 
 __all__ = [
@@ -75,7 +75,7 @@ DEFAULT_NODE_BUDGET = 1_000_000
 # sets), else as a set with its _LOW least faces kept sorted: 16 was the fastest of 4, 8, 16,
 # 32 and the whole residual, measured when every exact-search workload search ran on sets
 _RANKED, _LOW = 1 << 10, 16
-_Packing = tuple[list[int], list[int], int, int]  # codes, byte columns, low, free_at
+_Packing = tuple[list[int], list[int], int]  # codes, byte columns, low
 
 
 class FillResult(namedtuple(
@@ -138,51 +138,26 @@ def _fill_zero_cycle(z: frozenset[int], n: int, out: set[int]) -> None:
 
 
 def _pack(z: Set[int], n: int) -> _Packing:
-    """z's codes, byte columns, ``low`` (a byte 1 per face) and ``free_at``: each code goes to one
-    field, the narrowest holding 2n bits (wider: fixed bits and free mask to two 64-bit fields,
-    ``free_at`` 64, else n), and column j is byte j of every field, a numeral with a byte per face."""
+    """z's codes, byte columns and ``low``, a byte 1 per face: column j is byte j of every code's
+    field (``faces._fields``), a numeral with a byte per face, for each byte of a code's 2n bits,
+    so fixed bit i is in column i >> 3 and free bit i in column (n + i) >> 3."""
     codes = list(z)
-    if 2 * n <= 64:
-        width, field = _field(2 * n)
-        packs, free_at = [struct.pack(f"<{len(codes)}{field}", *codes)], n
-    else:
-        width, free_at = 64, 64
-        packs = [struct.pack(f"<{len(codes)}Q", *values)
-                 for values in (map(((1 << n) - 1).__and__, codes), map(n.__rrshift__, codes))]
-    columns = [int.from_bytes(p[j::width // 8], "little") for p in packs for j in range(width // 8)]
-    return codes, columns, int.from_bytes(bytes([1]) * len(codes), "little"), free_at
+    packed, stride = _fields(codes, n)
+    columns = [int.from_bytes(packed[j::stride], "little") for j in range(2 * n + 7 >> 3)]
+    return codes, columns, int.from_bytes(bytes([1]) * len(codes), "little")
 
 
-def _slice_counts(
-    z: Set[int], n: int, live: int, packing: _Packing | None = None
-) -> tuple[list[tuple[int, int, int, int]], _Packing]:
+def _slice_counts(packing: _Packing, n: int, live: int) -> list[tuple[int, int, int, int]]:
     """Per live coordinate, lowest first: its bit, faces pinned to 1, pinned to 0 and crossing,
-    each one shift, mask and popcount of a column; and the packing (``_pack(z, n)`` unless given)."""
-    codes, columns, low, free_at = packing = packing or _pack(z, n)
+    each one shift, mask and popcount of a column of the packing (``_pack``)."""
+    codes, columns, low = packing
     counts = []
     for bit in _bits(live):
         i = bit.bit_length() - 1
         ones = (columns[i >> 3] >> (i & 7) & low).bit_count()
-        crossing = (columns[i + free_at >> 3] >> (i + free_at & 7) & low).bit_count()
+        crossing = (columns[i + n >> 3] >> (i + n & 7) & low).bit_count()
         counts.append((bit, ones, len(codes) - ones - crossing, crossing))
-    return counts, packing
-
-
-def _crossed(packing: _Packing) -> int:
-    """The coordinates some face leaves free: each free-mask column's bytes ORed by halving shifts."""
-    codes, columns, _, free_at = packing
-    ored = columns[free_at >> 3:]
-    for step in reversed(range((len(codes) - 1).bit_length())):
-        ored = [column | column >> (8 << step) for column in ored]
-    return int.from_bytes(bytes(column & 255 for column in ored), "little") >> (free_at & 7)
-
-
-def _pin(
-    codes: Iterable[int], n: int, bit: int, state: int | None, value: int | None
-) -> frozenset[int]:
-    """The codes, all in ``state`` at the coordinate ``bit``, moved to ``value`` (None: free)."""
-    put = {0: 0, 1: bit, None: bit << n}
-    return frozenset(map((put[state] ^ put[value]).__xor__, codes))
+    return counts
 
 
 def _cut(packing: _Packing, n: int, bit: int, plus_value: int, out: set[int]) -> set[int]:
@@ -190,10 +165,10 @@ def _cut(packing: _Packing, n: int, bit: int, plus_value: int, out: set[int]) ->
     off z's packing (``_pack``) by its byte-per-face numeral, the crossing faces unread; adds the
     pushed (k+1)-chain to ``out`` and returns the rest, a cycle in the facet pinned to the other
     value: its fillings plus the pushed chain fill z."""
-    codes, columns, low, free_at = packing
+    codes, columns, low = packing
     i = bit.bit_length() - 1
     ones = columns[i >> 3] >> (i & 7) & low
-    sides = (low ^ ones ^ (columns[i + free_at >> 3] >> (i + free_at & 7) & low), ones)
+    sides = (low ^ ones ^ (columns[i + n >> 3] >> (i + n & 7) & low), ones)
     plus = list(compress(codes, sides[plus_value].to_bytes(len(codes), "little")))
     out ^= set(map(xor, plus, repeat(bit << n | bit * plus_value)))
     rest = set(compress(codes, sides[1 - plus_value].to_bytes(len(codes), "little")))
@@ -222,10 +197,10 @@ def _linear_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None:
             out ^= {live << n | next(iter(z)) & ~live & ((1 << n) - 1)}
             return
         packing = _pack(z, n)
-        crossed = crossed or _crossed(packing)
+        crossed = crossed or reduce(or_, z) >> n
         outside, skipped, counts = live & ~varying, varying & ~crossed, []
         for part in (varying & crossed | outside & -outside, skipped):
-            counts += _slice_counts(z, n, part, packing)[0]
+            counts += _slice_counts(packing, n, part)
             cost, bit, flip = min((2 * (k + 1) * min(ones, zeros) + (d - k - 1) * (ones + zeros),
                                    bit, ones > zeros) for bit, ones, zeros, _ in counts)
             if not skipped or cost < (d - k - 1) * len(z):
@@ -291,7 +266,7 @@ def support_subcube(z: Chain) -> Face:
     the support takes both pinned values there.  The empty chain gets the
     vertex 0...0.
     """
-    counts, _ = _slice_counts(z.codes, z.n, (1 << z.n) - 1)
+    counts = _slice_counts(_pack(z.codes, z.n), z.n, (1 << z.n) - 1)
     active = sum(bit for bit, ones, zeros, crossing in counts if crossing or ones and zeros)
     on_one = sum(bit for bit, ones, _, _ in counts if ones)
     return _face(active << z.n | on_one & ~active, z.n)
@@ -307,13 +282,13 @@ def _recursive_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None
         # is where its edges are free: in a connected chain, faces on opposite
         # sides of a coordinate are joined through a face free there.
         for component in _components(z, n):
-            _linear_fill_chain(component, n, reduce(or_, map(n.__rrshift__, component)), out)
+            _linear_fill_chain(component, n, reduce(or_, component) >> n, out)
         return
 
     # Coordinates with everything on one side (so, on a cycle, nothing
     # crosses them): drop them from the live cell before any case analysis.
-    counts, packing = _slice_counts(z, n, live)
-    counts = [count for count in counts if count[1] and count[2]]
+    packing = _pack(z, n)
+    counts = [count for count in _slice_counts(packing, n, live) if count[1] and count[2]]
     live = sum(count[0] for count in counts)
 
     consts = constants_for(k)
@@ -342,10 +317,10 @@ def _recursive_fill_chain(z: Set[int], n: int, live: int, out: set[int]) -> None
     # its prism, and fill the two corrected sides separately in their facets.
     zero_side, one_side, crossing = _split(z, n, bit)
     w0: set[int] = set()
-    _recursive_fill_chain(_pin(crossing, n, bit, None, 0), n, inner, w0)
-    out ^= _pin(w0, n, bit, 0, None)
-    _recursive_fill_chain(frozenset(one_side) ^ _pin(w0, n, bit, 0, 1), n, inner, out)
-    _recursive_fill_chain(frozenset(zero_side) ^ w0, n, inner, out)
+    _recursive_fill_chain(set(map(xor, crossing, repeat(bit << n))), n, inner, w0)
+    out ^= set(map(xor, w0, repeat(bit << n)))
+    _recursive_fill_chain(set(one_side) ^ set(map(xor, w0, repeat(bit))), n, inner, out)
+    _recursive_fill_chain(set(zero_side) ^ w0, n, inner, out)
 
 
 def recursive_fill(z: Chain) -> FillResult:

@@ -39,7 +39,7 @@ from cubefill.faces import (
     Face, _boundary, _coboundary, _degree_codes, _free_at, _parse_word, _split, _words,
 )
 from cubefill.filling import (
-    _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pin,
+    _components, _cut, _fill_zero_cycle, _linear_fill_chain, _lower_bound, _pack,
     _recursive_fill_chain, _slice_counts,
 )
 
@@ -246,7 +246,7 @@ def reference_linear_fill_chain(z, n, live, out):
     # stay in integers.  Ties go to the lowest coordinate, then plus = 1.
     _, bit, flip = min(
         (2 * (k + 1) * pushed + (d - k - 1) * (ones + zeros), bit, flip)
-        for bit, ones, zeros, _ in _slice_counts(z, n, live)[0]
+        for bit, ones, zeros, _ in _slice_counts(_pack(z, n), n, live)
         for flip, pushed in ((0, ones), (1, zeros))
     )
     rest = TestSlicePasses.pin_cut(z, n, bit, 1 - flip, out)
@@ -318,12 +318,12 @@ class TestLinearEngineAgainstItsReference:
 
     @staticmethod
     def record_counts(monkeypatch):
-        """Log each count the engine makes as (z, n, live, packing)."""
+        """Log each count the engine makes as (z, n, live, packing), z the packing's codes."""
         calls = []
 
-        def recording(z, n, live, packing=None):
-            calls.append((z, n, live, packing))
-            return _slice_counts(z, n, live, packing)
+        def recording(packing, n, live):
+            calls.append((packing[0], n, live, packing))
+            return _slice_counts(packing, n, live)
 
         monkeypatch.setattr("cubefill.filling._slice_counts", recording)
         return calls
@@ -366,7 +366,8 @@ class TestLinearEngineAgainstItsReference:
         # some level leaves uncounted a coordinate that varies there, so separates parts
         assert any(
             ones and zeros and not bit & live
-            for z, n, live, _ in levels for bit, ones, zeros, _ in _slice_counts(z, n, (1 << n) - 1)[0]
+            for z, n, live, _ in levels
+            for bit, ones, zeros, _ in _slice_counts(_pack(z, n), n, (1 << n) - 1)
         )
         if dims == (6, 9):
             # in small cubes some level finds no crossed cut below (d-k-1) * |z| and counts them
@@ -962,17 +963,17 @@ def random_codes(rng, n, size):
     return frozenset(map(_parse_word, words))
 
 
-def packed(z, n):
-    """The packing ``_slice_counts`` hands ``_cut``, with no coordinate counted."""
-    return _slice_counts(z, n, 0)[1]
+def _pin(codes, n, bit, state, value):
+    """The codes, all in ``state`` at the coordinate ``bit``, moved to ``value`` (None: free)."""
+    put = {0: 0, 1: bit, None: bit << n}
+    return frozenset(map((put[state] ^ put[value]).__xor__, codes))
 
 
 class TestSlicePasses:
     def test_slice_counts_match_a_per_face_count(self):
         # every n, so each field boundary of the packed codes is crossed: 2n bits
-        # go in 8, 16, 32 or 64, past that fixed bits and free masks in 64 each
-        # (n = 4/5, 8/9, 16/17, 32/33); 1,000 drawn faces on both sides of three
-        # of them (all of Q_4 and of Q_5)
+        # go in 8, 16, 32, 64 or 128 (n = 4/5, 8/9, 16/17, 32/33); 1,000 drawn
+        # faces on both sides of three of them (all of Q_4 and of Q_5)
         rng = random.Random(9)
         cases = [(n, size) for n in range(1, 65) for size in (0, 1, 40)]
         cases += [(n, 1000) for n in (4, 5, 16, 17, 32, 33)]
@@ -985,11 +986,16 @@ class TestSlicePasses:
                     (1 << i, *(sum(w[i] == s for w in words) for s in "10*"))
                     for i in range(n) if live >> i & 1
                 ]
-                counts, (codes, _, low, free_at) = _slice_counts(z, n, live)
-                assert counts == expected, (n, size, live)
-                assert (sorted(codes), low, free_at) == (
-                    sorted(z), int.from_bytes(bytes([1]) * len(z), "little"), n if n <= 32 else 64
+                packing = codes, columns, low = _pack(z, n)
+                assert _slice_counts(packing, n, live) == expected, (n, size, live)
+                assert (sorted(codes), low) == (
+                    sorted(z), int.from_bytes(bytes([1]) * len(z), "little")
                 ), (n, size, live)
+                # column j is byte j of each code's own field, for each byte of its 2n bits
+                assert columns == [
+                    int.from_bytes(bytes(code >> 8 * j & 255 for code in codes), "little")
+                    for j in range(-(-2 * n // 8))
+                ], (n, size, live)
 
     def test_free_at_matches_a_per_face_filter(self):
         rng = random.Random(10)
@@ -1007,6 +1013,17 @@ class TestSlicePasses:
         top = [1 << 63 << 64, 1 << 64 | 1 << 63]
         got = [(bit, list(free)) for bit, free in _free_at(top, 64)]
         assert got == [(1, [top[1]]), (1 << 63, [top[0]])]
+        # both readers share one layout: the codes free at i are those with bit n + i set in
+        # ``_pack``'s column, on both sides of each field boundary
+        for n in (4, 5, 8, 9, 16, 17, 32, 33, 64):
+            codes, columns, _ = _pack(random_codes(rng, n, 40), n)
+            expected = []
+            for i in range(n):
+                column = columns[n + i >> 3] >> (n + i & 7)
+                if picked := [code for j, code in enumerate(codes) if column >> 8 * j & 1]:
+                    expected.append((1 << i, picked))
+            got = [(bit, list(free)) for bit, free in _free_at(codes, n)]
+            assert got == expected, n
 
     def test_xor_pin_matches_the_keep_put_formula(self):
         rng = random.Random(10)
@@ -1043,7 +1060,7 @@ class TestSlicePasses:
                 cancelled |= not set(sides[1 - plus_value]).isdisjoint(map(bit.__xor__, plus))
                 held = set(_pin(rng.sample(plus, len(plus) // 2), n, bit, plus_value, None))
                 out, expected_out = set(held), set(held)
-                rest = _cut(packed(z, n), n, bit, plus_value, out)
+                rest = _cut(_pack(z, n), n, bit, plus_value, out)
                 assert rest == self.pin_cut(z, n, bit, plus_value, expected_out), (n, i, plus_value)
                 assert out == expected_out, (n, i, plus_value)
         return crossed, cancelled
@@ -1064,15 +1081,14 @@ class TestSlicePasses:
     def test_cut_edges(self, words, i, plus_value, rest_words, out_words):
         z = Chain.from_words(*words)
         out, expected_out = set(), set()
-        rest = _cut(packed(z.codes, z.n), z.n, 1 << i, plus_value, out)
+        rest = _cut(_pack(z.codes, z.n), z.n, 1 << i, plus_value, out)
         assert rest == self.pin_cut(z.codes, z.n, 1 << i, plus_value, expected_out)
         assert out == expected_out
         assert (rest, out) == (set(map(_parse_word, rest_words)), set(map(_parse_word, out_words)))
 
     @pytest.mark.parametrize("n", [16, 17, 32, 33, 64])
     def test_packed_cut_across_field_shapes(self, n):
-        # the field widens from 32 to 64 bits at n = 16/17, is one 64-bit field at n = 32 and
-        # two from n = 33, the free masks read from bit 64 (so at n = 64 from bit n)
+        # the field widens from 32 to 64 bits at n = 16/17 and from 64 to 128 at n = 32/33
         rng = random.Random(n)
         seen = [
             self.check_every_cut((lift(random_cycle(6, k, 0.05, seed), n, seed)
